@@ -2,22 +2,19 @@
 // (DESIGN.md §10): query throughput sustained *during* a live DART
 // ingest, and what concurrent readers cost the loader in commit stalls.
 //
-// Two phases, each run under both lock disciplines of the archive
-// (set_exclusive_reads(true) restores the pre-overhaul single-mutex
-// behaviour, so one binary A/Bs before vs after):
+// Two phases:
 //
 //   live   — a writer thread runs the full DART pipeline into a fresh
 //            archive while 0 / 1 / 4 reader threads loop
 //            statistics-style queries (GROUP BY state, fleet aggregates,
 //            indexed probes, a join). Reports queries/second over the
 //            ingest window and the p99 loader-commit stall.
-//   static — the loaded archive, no writer: pure reader scaling. The
-//            4-reader shared-vs-exclusive ratio is the overhaul's
-//            speedup claim (target: >= 3x on a multi-core host).
+//   static — the loaded archive, no writer: pure reader scaling over
+//            1 and 4 reader threads.
 //
 // Queries go straight to db::Database::execute — deliberately below the
-// QueryExecutor cache, so the lock discipline (not memoization) is what
-// gets measured. Results land in BENCH_read_while_load.json.
+// QueryExecutor cache, so the shared-lock read path (not memoization)
+// is what gets measured. Results land in BENCH_read_while_load.json.
 
 #include <atomic>
 #include <chrono>
@@ -74,16 +71,14 @@ struct LiveResult {
 };
 
 /// One live-ingest run: DART writer vs `readers` query threads.
-LiveResult run_live(int readers, bool exclusive_reads, int round) {
+LiveResult run_live(int readers) {
   db::Database archive;
   orm::create_stampede_schema(archive);
-  archive.set_exclusive_reads(exclusive_reads);
 
   // A fresh histogram per configuration keeps the p99s separable.
   auto& commit_hist = telemetry::registry().histogram(telemetry::labeled(
       "bench_rwl_commit_latency_seconds", "cfg",
-      (exclusive_reads ? "x" : "s") + std::to_string(readers) + "r" +
-          std::to_string(round)));
+      std::to_string(readers) + "r"));
   archive.set_commit_latency_sink(&commit_hist);
 
   std::atomic<bool> stop{false};
@@ -125,9 +120,7 @@ LiveResult run_live(int readers, bool exclusive_reads, int round) {
 
 /// Static phase: `readers` threads loop the query mix over a loaded,
 /// quiescent archive for `window_s`; returns aggregate queries/second.
-double run_static(db::Database& archive, int readers, bool exclusive_reads,
-                  double window_s) {
-  archive.set_exclusive_reads(exclusive_reads);
+double run_static(db::Database& archive, int readers, double window_s) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_queries{0};
   const auto queries = reader_queries();
@@ -152,51 +145,38 @@ double run_static(db::Database& archive, int readers, bool exclusive_reads,
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  archive.set_exclusive_reads(false);
   return secs > 0 ? static_cast<double>(total_queries.load()) / secs : 0.0;
 }
 
-void emit_json(const LiveResult live[2][3], double static_qps[2][2],
-               double static_speedup) {
+void emit_json(const LiveResult live[3], const double static_qps[2]) {
   std::FILE* out = std::fopen("BENCH_read_while_load.json", "w");
   if (out == nullptr) return;
-  const char* mode_names[2] = {"exclusive", "shared"};
   std::fprintf(out,
                "{\n"
                "  \"workload\": \"DART ingest, %d executions x 16 tasks\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"live\": {\n",
                kExecutions, std::thread::hardware_concurrency());
-  for (int m = 0; m < 2; ++m) {
-    std::fprintf(out, "    \"%s\": {\n", mode_names[m]);
-    const int reader_counts[3] = {0, 1, 4};
-    for (int i = 0; i < 3; ++i) {
-      const LiveResult& r = live[m][i];
-      std::fprintf(out,
-                   "      \"readers_%d\": {\"qps\": %.0f, "
-                   "\"commit_p99_ms\": %.4f, \"writer_seconds\": %.3f, "
-                   "\"commits\": %llu}%s\n",
-                   reader_counts[i], r.qps, r.commit_p99_ms,
-                   r.writer_seconds,
-                   static_cast<unsigned long long>(r.commits),
-                   i < 2 ? "," : "");
-    }
-    std::fprintf(out, "    }%s\n", m == 0 ? "," : "");
+  const int reader_counts[3] = {0, 1, 4};
+  for (int i = 0; i < 3; ++i) {
+    const LiveResult& r = live[i];
+    std::fprintf(out,
+                 "    \"readers_%d\": {\"qps\": %.0f, "
+                 "\"commit_p99_ms\": %.4f, \"writer_seconds\": %.3f, "
+                 "\"commits\": %llu}%s\n",
+                 reader_counts[i], r.qps, r.commit_p99_ms, r.writer_seconds,
+                 static_cast<unsigned long long>(r.commits),
+                 i < 2 ? "," : "");
   }
   std::fprintf(out,
                "  },\n"
-               "  \"static_read\": {\n"
-               "    \"exclusive\": {\"readers_1\": %.0f, \"readers_4\": "
+               "  \"static_read\": {\"readers_1\": %.0f, \"readers_4\": "
                "%.0f},\n"
-               "    \"shared\": {\"readers_1\": %.0f, \"readers_4\": %.0f},\n"
-               "    \"speedup_4r_shared_vs_exclusive\": %.3f\n"
-               "  },\n"
-               "  \"commit_p99_ratio_4r_vs_0r_shared\": %.3f\n"
+               "  \"commit_p99_ratio_4r_vs_0r\": %.3f\n"
                "}\n",
-               static_qps[0][0], static_qps[0][1], static_qps[1][0],
-               static_qps[1][1], static_speedup,
-               live[1][0].commit_p99_ms > 0
-                   ? live[1][2].commit_p99_ms / live[1][0].commit_p99_ms
+               static_qps[0], static_qps[1],
+               live[0].commit_p99_ms > 0
+                   ? live[2].commit_p99_ms / live[0].commit_p99_ms
                    : 0.0);
   std::fclose(out);
 }
@@ -204,40 +184,28 @@ void emit_json(const LiveResult live[2][3], double static_qps[2][2],
 }  // namespace
 
 int main() {
-  // Phase A: live ingest under both disciplines.
-  LiveResult live[2][3];
+  // Phase A: live ingest with 0 / 1 / 4 concurrent readers.
+  LiveResult live[3];
   const int reader_counts[3] = {0, 1, 4};
-  for (int m = 0; m < 2; ++m) {
-    const bool exclusive = (m == 0);
-    for (int i = 0; i < 3; ++i) {
-      live[m][i] = run_live(reader_counts[i], exclusive, /*round=*/m * 3 + i);
-      std::printf(
-          "live %-9s readers=%d: %7.0f q/s, commit p99 %.3f ms "
-          "(%llu commits, writer %.2fs)\n",
-          exclusive ? "exclusive" : "shared", reader_counts[i], live[m][i].qps,
-          live[m][i].commit_p99_ms,
-          static_cast<unsigned long long>(live[m][i].commits),
-          live[m][i].writer_seconds);
-    }
+  for (int i = 0; i < 3; ++i) {
+    live[i] = run_live(reader_counts[i]);
+    std::printf(
+        "live readers=%d: %7.0f q/s, commit p99 %.3f ms "
+        "(%llu commits, writer %.2fs)\n",
+        reader_counts[i], live[i].qps, live[i].commit_p99_ms,
+        static_cast<unsigned long long>(live[i].commits),
+        live[i].writer_seconds);
   }
 
   // Phase B: static reader scaling over one loaded archive.
   db::Database archive;
   orm::create_stampede_schema(archive);
   dart::run_dart_experiment(bench_config(), archive, {});
-  double static_qps[2][2];
-  for (int m = 0; m < 2; ++m) {
-    const bool exclusive = (m == 0);
-    static_qps[m][0] = run_static(archive, 1, exclusive, 0.5);
-    static_qps[m][1] = run_static(archive, 4, exclusive, 0.5);
-    std::printf("static %-9s: 1 reader %7.0f q/s, 4 readers %7.0f q/s\n",
-                exclusive ? "exclusive" : "shared", static_qps[m][0],
-                static_qps[m][1]);
-  }
-  const double speedup =
-      static_qps[0][1] > 0 ? static_qps[1][1] / static_qps[0][1] : 0.0;
-  std::printf("4-reader shared vs single-mutex: %.2fx\n", speedup);
+  const double static_qps[2] = {run_static(archive, 1, 0.5),
+                                run_static(archive, 4, 0.5)};
+  std::printf("static: 1 reader %7.0f q/s, 4 readers %7.0f q/s\n",
+              static_qps[0], static_qps[1]);
 
-  emit_json(live, static_qps, speedup);
+  emit_json(live, static_qps);
   return 0;
 }

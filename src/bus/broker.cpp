@@ -530,8 +530,7 @@ void Broker::spool_recover(QueueEntry& entry) {
     records.push_back(spool_record(msg));
   }
   spool::rewrite_file(entry.spool_path, records);
-  if (recovered.acks > 0 || recovered.legacy ||
-      records.size() != recovered.messages) {
+  if (recovered.acks > 0 || records.size() != recovered.messages) {
     bus_telemetry().spool_compactions.inc();
   }
   entry.spool_out.open(entry.spool_path, std::ios::app);

@@ -173,6 +173,10 @@ RecoverResult recover_file(const std::string& path) {
 
   std::string line;
   if (!std::getline(in, line)) return result;
+  if (line != kHeader) {
+    throw common::BusError("spool " + path + ": missing \"" +
+                           std::string{kHeader} + "\" header");
+  }
 
   // Map rather than sorted vector: acks arrive in ack order, not
   // publish order, and compaction means seqs are sparse.
@@ -185,28 +189,6 @@ RecoverResult recover_file(const std::string& path) {
       }
     }
   };
-
-  if (line != kHeader) {
-    // Legacy v1: every line is `<key> <body>`, all live, no acks.
-    result.legacy = true;
-    do {
-      if (line.empty()) continue;
-      std::string_view rest{line};
-      bool ok = true;
-      MessageRecord msg;
-      msg.routing_key = decode_field(rest, ok);
-      if (ok) msg.body = decode_field(rest, ok);
-      if (!ok || msg.routing_key.empty()) {
-        ++result.truncated;  // v1 had no recovery test; tolerate the tail.
-        continue;
-      }
-      msg.seq = result.next_seq++;
-      ++result.messages;
-      live.push_back(std::move(msg));
-    } while (std::getline(in, line));
-    result.live = std::move(live);
-    return result;
-  }
 
   while (std::getline(in, line)) {
     if (line.empty()) continue;

@@ -24,8 +24,8 @@
 // newline-free values the encoding is byte-identical to
 // nl::escape_value (test_properties holds that equivalence).
 //
-// Legacy v1 files (no header; lines of `<key> <body>`) are recovered as
-// all-live messages and rewritten as v2 on the spot.
+// A file whose first line is not the header is corrupt: recovery
+// throws, like any other mid-file damage.
 
 #include <cstdint>
 #include <string>
@@ -85,13 +85,12 @@ struct RecoverResult {
   std::uint64_t messages = 0;       ///< M records read.
   std::uint64_t acks = 0;           ///< A records read.
   std::uint64_t truncated = 0;      ///< Torn trailing records discarded.
-  bool legacy = false;              ///< v1 file (caller should rewrite).
 };
 
 /// Reads a spool file. A malformed *final* record — the torn line a
 /// crash mid-append leaves behind — is discarded and counted, mirroring
-/// WAL recovery; a malformed record followed by valid ones throws
-/// common::BusError. A missing file recovers as empty.
+/// WAL recovery; a missing header or a malformed record followed by
+/// valid ones throws common::BusError. A missing file recovers as empty.
 [[nodiscard]] RecoverResult recover_file(const std::string& path);
 
 /// Atomically rewrites `path` as a v2 spool holding exactly `live`

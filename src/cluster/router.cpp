@@ -37,15 +37,22 @@ RouterTelemetry& router_telemetry() {
 Router::Router(ShardMap map, RouterOptions options)
     : map_(std::move(map)), options_(options) {
   peers_.reserve(map_.placements().size());
-  for (const Placement& placement : map_.placements()) {
-    auto peer = std::make_unique<Peer>();
-    peer->placement = placement;
-    connect_peer(*peer, placement.primary);
-    peers_.push_back(std::move(peer));
+  try {
+    for (const Placement& placement : map_.placements()) {
+      auto peer = std::make_unique<Peer>();
+      peer->placement = placement;
+      peer->link = connect(placement.primary);
+      peers_.push_back(std::move(peer));
+    }
+  } catch (...) {
+    close_links();  // An unreachable later host must not strand readers.
+    throw;
   }
 }
 
-Router::~Router() {
+Router::~Router() { close_links(); }
+
+void Router::close_links() noexcept {
   for (auto& peer : peers_) {
     if (peer->link) peer->link->close();
   }
@@ -55,9 +62,10 @@ Router::~Router() {
   for (auto& peer : peers_) peer->link.reset();
 }
 
-void Router::connect_peer(Peer& peer, const HostAddr& addr) {
-  peer.link = std::make_unique<Link>(addr, options_.link);
-  peer.link->start(
+std::unique_ptr<net::ClientLink> Router::connect(const HostAddr& addr) {
+  auto link = std::make_unique<net::ClientLink>(addr, net::kFeatureCluster,
+                                                options_.link);
+  link->start(
       [this](const net::Frame& frame) {
         if (frame.type == net::FrameType::kClusterAck) on_ack_frame(frame);
       },
@@ -65,6 +73,7 @@ void Router::connect_peer(Peer& peer, const HostAddr& addr) {
         // Wake blocked producers/drainers; they drive the failover.
         inflight_cv_.notify_all();
       });
+  return link;
 }
 
 void Router::on_ack_frame(const net::Frame& frame) {
@@ -79,21 +88,26 @@ void Router::on_ack_frame(const net::Frame& frame) {
       if (it->second.bus_tag != 0) bus_tags.push_back(it->second.bus_tag);
       inflight_.erase(it);
     }
+    if (!bus_tags.empty()) ++ack_callbacks_running_;
     router_telemetry().inflight.set(
         static_cast<std::int64_t>(inflight_.size()));
   }
   router_telemetry().acks.inc(tags.size());
   inflight_cv_.notify_all();
-  if (!bus_tags.empty()) {
-    std::function<void(std::uint64_t)> cb;
-    {
-      const std::scoped_lock lock{ack_cb_mutex_};
-      cb = ack_cb_;
-    }
-    if (cb) {
-      for (const std::uint64_t bus_tag : bus_tags) cb(bus_tag);
-    }
+  if (bus_tags.empty()) return;
+  std::function<void(std::uint64_t)> cb;
+  {
+    const std::scoped_lock lock{ack_cb_mutex_};
+    cb = ack_cb_;
   }
+  if (cb) {
+    for (const std::uint64_t bus_tag : bus_tags) cb(bus_tag);
+  }
+  {
+    const std::scoped_lock lock{inflight_mutex_};
+    --ack_callbacks_running_;
+  }
+  inflight_cv_.notify_all();
 }
 
 void Router::set_ack_callback(std::function<void(std::uint64_t)> cb) {
@@ -200,12 +214,13 @@ void Router::finish() {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(options_.drain_timeout_ms);
   auto next_hint = std::chrono::steady_clock::now() + 500ms;
+  const auto drained = [this] {
+    return inflight_.empty() && ack_callbacks_running_ == 0;
+  };
   for (;;) {
     {
       std::unique_lock lock{inflight_mutex_};
-      if (inflight_.empty()) return;
-      inflight_cv_.wait_for(lock, 100ms);
-      if (inflight_.empty()) return;
+      if (inflight_cv_.wait_for(lock, 100ms, drained)) return;
     }
     for (auto& peer : peers_) ensure_alive(*peer);
     const auto now = std::chrono::steady_clock::now();
@@ -242,12 +257,7 @@ void Router::do_failover(Peer& peer) {
                        " lost with no failover path"};
   }
 
-  auto link = std::make_unique<Link>(*peer.placement.follower, options_.link);
-  link->start(
-      [this](const net::Frame& frame) {
-        if (frame.type == net::FrameType::kClusterAck) on_ack_frame(frame);
-      },
-      [this] { inflight_cv_.notify_all(); });
+  auto link = connect(*peer.placement.follower);
 
   // Promote: the follower recovers the replicated WALs (tolerating a
   // torn trailing record) and starts serving these shards.
@@ -323,7 +333,7 @@ net::Frame Router::request_on(
     const std::uint32_t channel = peer.link->next_channel();
     try {
       return peer.link->request(channel, build(channel));
-    } catch (const ClusterError&) {
+    } catch (const net::LinkError&) {
       // Retry exactly once, and only when the link itself died (the
       // failover path); a live link rejecting the request is final.
       if (attempt > 0 || peer.link->alive()) throw;

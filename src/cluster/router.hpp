@@ -2,7 +2,7 @@
 // cluster::Router — the client-side brain of the distributed archive
 // (DESIGN.md §14).
 //
-// Owns the shard map and one Link per placement. Two faces:
+// Owns the shard map and one net::ClientLink per placement. Two faces:
 //
 //   Ingest (loader::EventSink): the dispatcher thread routes each BP
 //   event with the SAME WorkflowRouteMap + FNV-1a hash a local
@@ -36,11 +36,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/link.hpp"
 #include "cluster/shard_map.hpp"
 #include "cluster/wire.hpp"
 #include "loader/event_sink.hpp"
 #include "loader/route_map.hpp"
+#include "net/client_link.hpp"
 #include "query/shard_backend.hpp"
 
 namespace stampede::cluster {
@@ -53,13 +53,13 @@ struct RouterOptions {
   std::size_t apply_batch_max = 64;
   /// finish() waits this long for the fleet to drain before giving up.
   int drain_timeout_ms = 60000;
-  Link::Options link;
+  net::ClientLink::Options link;
 };
 
 class Router : public loader::EventSink {
  public:
   /// Connects to every placement's primary (bounded jittered retries
-  /// per Link). Throws ClusterError when any host stays unreachable.
+  /// per link). Throws net::LinkError when any host stays unreachable.
   explicit Router(ShardMap map, RouterOptions options = {});
   ~Router() override;
 
@@ -74,8 +74,9 @@ class Router : public loader::EventSink {
   void set_ack_callback(std::function<void(std::uint64_t)> cb) override;
   void flush_hint() override;
   /// Flushes, nudges the hosts, and blocks until every in-flight event
-  /// is acked (driving failover if a host dies meanwhile). Throws
-  /// ClusterError when the fleet cannot drain within the timeout.
+  /// is acked and every ack callback for them has returned (driving
+  /// failover if a host dies meanwhile). Throws ClusterError when the
+  /// fleet cannot drain within the timeout.
   void finish() override;
 
   // -- query face (any thread) ---------------------------------------------
@@ -109,7 +110,7 @@ class Router : public loader::EventSink {
  private:
   struct Peer {
     Placement placement;
-    std::unique_ptr<Link> link;
+    std::unique_ptr<net::ClientLink> link;
     bool failed_over = false;
     std::mutex failover_mutex;  ///< Serializes do_failover per peer.
   };
@@ -135,7 +136,10 @@ class Router : public loader::EventSink {
     Router* router_;
   };
 
-  void connect_peer(Peer& peer, const HostAddr& addr);
+  /// Connects and starts a link to `addr` whose acks feed on_ack_frame.
+  [[nodiscard]] std::unique_ptr<net::ClientLink> connect(const HostAddr& addr);
+  /// Closes every link and joins its reader.
+  void close_links() noexcept;
   void on_ack_frame(const net::Frame& frame);
   /// Dead link → promote the follower and replay un-acked events.
   /// Throws ClusterError when no failover path remains.
@@ -168,6 +172,9 @@ class Router : public loader::EventSink {
   std::condition_variable inflight_cv_;
   std::map<std::uint64_t, InFlight> inflight_;
   std::uint64_t next_tag_ = 1;
+  /// Ack frames whose bus-tag callbacks are still running; finish()
+  /// waits for zero so no callback outlives the drain.
+  std::size_t ack_callbacks_running_ = 0;
 
   std::mutex ack_cb_mutex_;
   std::function<void(std::uint64_t)> ack_cb_;

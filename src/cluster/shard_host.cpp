@@ -118,7 +118,8 @@ void ShardHost::start_compactor() {
 
 void ShardHost::start_replication() {
   if (!options_.follower_addr) return;
-  repl_link_ = std::make_unique<Link>(*options_.follower_addr);
+  repl_link_ = std::make_unique<net::ClientLink>(*options_.follower_addr,
+                                                 net::kFeatureCluster);
   repl_link_->start(
       [this](const net::Frame& frame) {
         if (frame.type != net::FrameType::kClusterReplicateAck) return;
@@ -597,12 +598,9 @@ void ShardHost::kill() {
   abandoned_.store(true);
   stop();
   // Simulate the crash: the loaders' buffered-but-uncommitted batches
-  // must NOT flush, so their destructors never run. The leak is
-  // deliberate and test-only.
+  // are lost, not flushed by their destructors.
   const std::scoped_lock lock{hosted_mutex_};
-  for (auto& [index, hosted] : hosted_) {
-    hosted->loader.release();  // NOLINT(bugprone-unused-return-value)
-  }
+  for (auto& [index, hosted] : hosted_) hosted->loader->abandon();
 }
 
 }  // namespace stampede::cluster

@@ -40,7 +40,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/link.hpp"
 #include "cluster/shard_map.hpp"
 #include "cluster/wire.hpp"
 #include "common/concurrent_queue.hpp"
@@ -48,6 +47,7 @@
 #include "db/compactor.hpp"
 #include "db/database.hpp"
 #include "loader/stampede_loader.hpp"
+#include "net/client_link.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
 
@@ -191,7 +191,7 @@ class ShardHost {
   std::unordered_map<std::size_t, Replica> replicas_;
   std::mutex replicas_mutex_;  ///< Loop appends vs. pool-thread promote.
 
-  std::unique_ptr<Link> repl_link_;
+  std::unique_ptr<net::ClientLink> repl_link_;
   std::atomic<bool> repl_down_{false};
 
   /// Sweeps hosted shards into columnar segments; rebuilt on promote.

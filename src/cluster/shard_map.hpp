@@ -21,25 +21,18 @@
 #include <vector>
 
 #include "common/errors.hpp"
+#include "common/socket.hpp"
 
 namespace stampede::cluster {
 
-/// Errors raised by cluster components (spec parsing, connect retry
-/// exhaustion, protocol violations).
+/// Errors raised by cluster components (spec parsing, failover,
+/// protocol violations). Link failures are net::LinkError.
 class ClusterError : public common::StampedeError {
  public:
   using common::StampedeError::StampedeError;
 };
 
-struct HostAddr {
-  std::string host;
-  int port = 0;
-
-  [[nodiscard]] std::string to_string() const {
-    return host + ":" + std::to_string(port);
-  }
-  friend bool operator==(const HostAddr&, const HostAddr&) = default;
-};
+using HostAddr = common::HostAddr;
 
 /// Parses "host:port" (as used in cluster specs and --follower-addr).
 /// Throws ClusterError on malformed input.

@@ -22,6 +22,17 @@
 
 namespace stampede::common {
 
+/// A TCP endpoint ("host:port" in specs and error messages).
+struct HostAddr {
+  std::string host;
+  int port = 0;
+
+  [[nodiscard]] std::string to_string() const {
+    return host + ":" + std::to_string(port);
+  }
+  friend bool operator==(const HostAddr&, const HostAddr&) = default;
+};
+
 /// Move-only RAII file descriptor; closes on destruction.
 class SocketFd {
  public:

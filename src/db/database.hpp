@@ -127,12 +127,6 @@ class StorageShard {
   /// the shard (telemetry registry instruments do).
   void set_commit_latency_sink(telemetry::Histogram* sink);
 
-  /// Forces read entry points onto the exclusive lock (the pre-§10
-  /// serialized discipline). Benchmark-only; set before concurrent use.
-  void set_exclusive_reads(bool on) noexcept {
-    exclusive_reads_.store(on, std::memory_order_relaxed);
-  }
-
   // -- change capture ---------------------------------------------------------
 
   /// Registers the shard's change sink (one per shard; empty detaches).
@@ -265,7 +259,7 @@ class StorageShard {
  private:
   /// Shared lock for a public read entry point — unless this thread
   /// owns the open transaction (txn_lock_ already excludes everyone
-  /// else), or exclusive_reads_ degrades reads for the A/B bench.
+  /// else).
   class ReadGuard {
    public:
     explicit ReadGuard(const StorageShard& shard) {
@@ -273,16 +267,11 @@ class StorageShard {
           std::this_thread::get_id()) {
         return;
       }
-      if (shard.exclusive_reads_.load(std::memory_order_relaxed)) {
-        exclusive_ = std::unique_lock{shard.mutex_};
-      } else {
-        shared_ = std::shared_lock{shard.mutex_};
-      }
+      shared_ = std::shared_lock{shard.mutex_};
     }
 
    private:
     std::shared_lock<SharedMutex> shared_;
-    std::unique_lock<SharedMutex> exclusive_;
   };
 
   /// Exclusive lock for a public write entry point — pass-through when
@@ -356,7 +345,6 @@ class StorageShard {
   std::unique_lock<SharedMutex> txn_lock_;
   /// Thread that called begin(); default id when no transaction is open.
   std::atomic<std::thread::id> txn_owner_{};
-  std::atomic<bool> exclusive_reads_{false};
 
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::string wal_path_;

@@ -74,10 +74,6 @@ std::size_t ShardedDatabase::row_count(const std::string& table) const {
   return total;
 }
 
-void ShardedDatabase::set_exclusive_reads(bool on) noexcept {
-  for (auto& shard : shards_) shard->set_exclusive_reads(on);
-}
-
 void ShardedDatabase::set_change_sink(const ChangeSink& sink,
                                       std::vector<std::string> tables) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -79,10 +79,6 @@ class ShardedDatabase {
   /// Total live rows across shards.
   [[nodiscard]] std::size_t row_count(const std::string& table) const;
 
-  /// Forces every shard's read entry points onto the exclusive lock
-  /// (benchmark-only A/B switch; see StorageShard::set_exclusive_reads).
-  void set_exclusive_reads(bool on) noexcept;
-
   /// Installs `sink` on every shard (empty detaches); each shard stamps
   /// its index into the batches it delivers. See
   /// StorageShard::set_change_sink / change.hpp for the contract —

@@ -63,6 +63,11 @@ StampedeLoader::~StampedeLoader() {
   session_.set_commit_hook({});
 }
 
+void StampedeLoader::abandon() noexcept {
+  session_.set_commit_hook({});
+  session_.discard();
+}
+
 std::optional<std::int64_t> StampedeLoader::wf_id(
     const common::Uuid& uuid) const {
   const auto it = wf_ids_.find(uuid);

@@ -152,6 +152,11 @@ class StampedeLoader {
   /// readers).
   void finish();
 
+  /// Crash simulation: drops the buffered uncommitted batch and detaches
+  /// the commit hook, so neither this loader's destructor nor its
+  /// session's writes anything. Acks for the dropped events never fire.
+  void abandon() noexcept;
+
   [[nodiscard]] const LoaderStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t deferred_count() const noexcept {
     return deferred_.size();

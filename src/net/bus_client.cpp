@@ -1,14 +1,10 @@
 #include "net/bus_client.hpp"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
-#include <random>
 #include <utility>
 
 #include "common/errors.hpp"
-#include "common/rng.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace stampede::net {
@@ -17,17 +13,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
-
 struct ClientTelemetry {
   telemetry::Counter& connects =
       telemetry::registry().counter("stampede_net_client_connects_total");
-  telemetry::Counter& reconnect_attempts = telemetry::registry().counter(
-      "stampede_net_client_reconnect_attempts_total");
   telemetry::Counter& stale_acks =
       telemetry::registry().counter("stampede_net_stale_acks_total");
   telemetry::Counter& async_errors = telemetry::registry().counter(
@@ -54,7 +42,7 @@ constexpr int kEpochShift = 48;
 }  // namespace
 
 BusClient::BusClient(BusClientOptions options) : options_(std::move(options)) {
-  io_ = std::jthread([this](std::stop_token stop) { io_loop(stop); });
+  io_ = std::jthread([this](std::stop_token stop) { run(stop); });
 }
 
 BusClient::~BusClient() { close(); }
@@ -74,8 +62,8 @@ void BusClient::close() {
   if (closed_.exchange(true)) return;
   io_.request_stop();
   {
-    const std::scoped_lock lock{write_mutex_};
-    if (write_fd_ >= 0) ::shutdown(write_fd_, SHUT_RDWR);
+    const std::shared_lock lock{link_mutex_};
+    if (link_) link_->close();
   }
   {
     const std::scoped_lock lock{state_mutex_};
@@ -88,212 +76,130 @@ void BusClient::close() {
 
 // -- IO thread --------------------------------------------------------------
 
-void BusClient::io_loop(const std::stop_token& stop) {
-  // ±20% jitter on every backoff sleep: when a broker restarts under
-  // hundreds of publishers, their retry clocks decorrelate instead of
-  // stampeding the fresh listener in lockstep. Seeded per client from
-  // the OS so separate processes do not share a sequence.
-  common::Rng jitter{std::random_device{}()};
-  int backoff_ms = options_.reconnect_initial_ms;
+void BusClient::run(const std::stop_token& stop) {
+  ClientLinkOptions link_options;
+  link_options.connect_attempts = 0;  // A bus client never gives up.
+  link_options.backoff_ms = options_.reconnect_initial_ms;
+  link_options.max_backoff_ms = options_.reconnect_max_ms;
+  link_options.request_timeout_ms = options_.request_timeout_ms;
+  const common::HostAddr addr{options_.host, options_.port};
   while (!stop.stop_requested()) {
-    std::string carry;
-    auto fd = establish(stop, carry);
-    if (!fd.valid()) {
-      client_telemetry().reconnect_attempts.inc();
-      const auto jittered = static_cast<std::int64_t>(
-          static_cast<double>(backoff_ms) * jitter.uniform(0.8, 1.2));
-      // Sliced sleep so stop() does not wait out the whole backoff.
-      const auto deadline = Clock::now() + std::chrono::milliseconds(jittered);
-      while (Clock::now() < deadline && !stop.stop_requested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      backoff_ms = std::min(backoff_ms * 2, options_.reconnect_max_ms);
+    std::unique_ptr<ClientLink> link;
+    try {
+      link = std::make_unique<ClientLink>(addr, 0, link_options, stop);
+    } catch (const LinkError&) {
+      // Stopped, or a peer that refuses the handshake: wait the longest
+      // backoff before asking again.
+      std::unique_lock lock{state_mutex_};
+      state_cv_.wait_for(lock,
+                         std::chrono::milliseconds(options_.reconnect_max_ms),
+                         [&] { return stop.stop_requested(); });
       continue;
     }
-    backoff_ms = options_.reconnect_initial_ms;
-    read_stream(fd, carry, stop);
-    mark_disconnected();
-  }
-  mark_disconnected();
-}
-
-common::SocketFd BusClient::establish(const std::stop_token& stop,
-                                      std::string& carry) {
-  auto fd = common::connect_tcp(options_.host, options_.port);
-  if (!fd.valid()) return {};
-
-  const std::uint32_t wanted =
-      (options_.enable_trace ? kFeatureTrace : 0u) |
-      (options_.enable_batch ? kFeatureBatch : 0u);
-  const bool want_features =
-      wanted != 0 && !hello_legacy_.load(std::memory_order_relaxed);
-  const auto hello =
-      encode_hello(next_channel(), want_features ? wanted : 0u);
-  if (!common::send_all(fd.get(), hello.data(), hello.size())) {
-    return {};
-  }
-  // Synchronous handshake read: the only frame we ever wait for without
-  // the dispatch loop running.
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.request_timeout_ms);
-  Frame frame;
-  for (;;) {
-    std::size_t consumed = 0;
-    const auto status = decode_frame(carry, consumed, frame);
-    if (status == DecodeStatus::kError) return {};
-    if (status == DecodeStatus::kFrame) {
-      carry.erase(0, consumed);
-      break;
+    wire_trace_.store((link->features() & kFeatureTrace) != 0,
+                      std::memory_order_relaxed);
+    wire_batch_.store((link->features() & kFeatureBatch) != 0,
+                      std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_acq_rel);
+    link->start([this](const Frame& frame) { on_frame(frame); },
+                [this] {
+                  // Taking the mutex orders the loss before tick()'s
+                  // predicate check, so its wait cannot miss it.
+                  { const std::scoped_lock lock{state_mutex_}; }
+                  state_cv_.notify_all();
+                });
+    ClientLink& live = *link;
+    {
+      // Replay and install under the topology lock: a declare or first
+      // basic_get either lands in the replay or finds the link installed.
+      const std::scoped_lock lock{topology_mutex_};
+      if (!replay(live)) continue;
+      const std::unique_lock link_lock{link_mutex_};
+      link_ = std::move(link);
     }
-    if (stop.stop_requested() || Clock::now() >= deadline) return {};
-    char chunk[4096];
-    std::size_t received = 0;
-    const auto recv =
-        common::recv_some(fd.get(), chunk, sizeof(chunk), 100, &received);
-    if (recv == common::RecvStatus::kClosed ||
-        recv == common::RecvStatus::kError) {
-      return {};
-    }
-    carry.append(chunk, received);
-  }
-  if (frame.type != FrameType::kHelloOk) {
-    // A v1 server refuses the feature-extended HELLO with kError before
-    // ever reaching version negotiation. Fall back to the plain
-    // handshake (no optional features) from the next attempt on.
-    if (frame.type == FrameType::kError && want_features) {
-      hello_legacy_.store(true, std::memory_order_relaxed);
-    }
-    return {};
-  }
-  std::uint16_t version = 0;
-  std::uint32_t granted = 0;
-  if (!parse_hello_ok(frame, &version, &granted)) return {};
-  if (!want_features) granted = 0;
-  wire_trace_.store(options_.enable_trace && (granted & kFeatureTrace) != 0,
-                    std::memory_order_relaxed);
-  wire_batch_.store(options_.enable_batch && (granted & kFeatureBatch) != 0,
-                    std::memory_order_relaxed);
-
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    const std::scoped_lock lock{write_mutex_};
-    write_fd_ = fd.get();
-  }
-
-  // Replay topology + consumes fire-and-forget: each op already
-  // succeeded on a previous connection (or is about to get a reply via
-  // the normal dispatch path); redeclares are idempotent broker-side.
-  {
-    const std::scoped_lock lock{topology_mutex_};
-    bool sent_ok = true;
-    for (const auto& op : topology_) {
-      std::string bytes;
-      switch (op.kind) {
-        case TopologyOp::Kind::kExchange:
-          bytes = encode_declare_exchange(next_channel(), op.a,
-                                          op.exchange_type);
-          break;
-        case TopologyOp::Kind::kQueue:
-          bytes = encode_declare_queue(next_channel(), op.a, op.queue_options);
-          break;
-        case TopologyOp::Kind::kBind:
-          bytes = encode_bind(next_channel(), op.a, op.b, op.c);
-          break;
-      }
-      if (!common::send_all(fd.get(), bytes.data(), bytes.size())) {
-        sent_ok = false;
-        break;
-      }
-    }
-    for (const auto& queue : consumed_) {
-      if (!sent_ok) break;
-      const auto bytes = encode_consume(next_channel(), queue);
-      if (!common::send_all(fd.get(), bytes.data(), bytes.size())) {
-        sent_ok = false;
-      }
-    }
-    if (!sent_ok) {
-      const std::scoped_lock wlock{write_mutex_};
-      write_fd_ = -1;
-      return {};
-    }
-  }
-
-  client_telemetry().connects.inc();
-  connected_.store(true, std::memory_order_release);
-  state_cv_.notify_all();
-  return fd;
-}
-
-void BusClient::read_stream(common::SocketFd& fd, std::string& carry,
-                            const std::stop_token& stop) {
-  std::int64_t last_heartbeat = now_ms();
-  char chunk[16 * 1024];
-  while (!stop.stop_requested()) {
-    // Drain any frames already buffered (handshake leftovers included).
-    for (;;) {
-      Frame frame;
-      std::size_t consumed = 0;
-      const auto status = decode_frame(carry, consumed, frame);
-      if (status == DecodeStatus::kNeedMore) break;
-      if (status == DecodeStatus::kError) return;
-      carry.erase(0, consumed);
-      dispatch(frame);
-    }
-    std::size_t received = 0;
-    const auto status =
-        common::recv_some(fd.get(), chunk, sizeof(chunk), 100, &received);
-    if (status == common::RecvStatus::kClosed ||
-        status == common::RecvStatus::kError) {
-      return;
-    }
-    if (status == common::RecvStatus::kData) {
-      carry.append(chunk, received);
-    }
-    // Acks accumulated since the last pass ride out now, so coalescing
-    // adds at most one read-timeout slice of latency.
-    flush_acks();
-    const auto now = now_ms();
-    if (now - last_heartbeat >= options_.heartbeat_interval_ms) {
-      last_heartbeat = now;
-      (void)send_now(encode_heartbeat());
-    }
-  }
-}
-
-void BusClient::dispatch(const Frame& frame) {
-  if (frame.type == FrameType::kHeartbeat) return;
-
-  if (frame.channel != 0) {
-    std::shared_ptr<PendingReply> slot;
+    client_telemetry().connects.inc();
     {
       const std::scoped_lock lock{state_mutex_};
-      auto it = pending_.find(frame.channel);
-      if (it != pending_.end()) {
-        slot = it->second;
-        pending_.erase(it);
-      }
+      connected_.store(true, std::memory_order_release);
     }
-    if (slot) {
-      const std::scoped_lock lock{slot->mutex};
-      slot->reply = frame;
-      slot->cv.notify_all();
-    }
-    // No waiter: a reply to a fire-and-forget replay op; drop it.
-    return;
-  }
+    state_cv_.notify_all();
 
+    tick(live, stop);
+
+    {
+      const std::scoped_lock lock{state_mutex_};
+      connected_.store(false, std::memory_order_release);
+    }
+    std::unique_ptr<ClientLink> dead;
+    {
+      const std::unique_lock link_lock{link_mutex_};
+      dead = std::move(link_);
+    }
+    state_cv_.notify_all();
+    // Joins the reader — outside link_mutex_, which the reader's ack
+    // flushes take shared.
+    dead.reset();
+  }
+}
+
+bool BusClient::replay(ClientLink& link) {
+  // Fire-and-forget: each op already succeeded on a previous connection
+  // (or is about to get a reply through request()); redeclares are
+  // idempotent broker-side.
+  for (const auto& op : topology_) {
+    const std::uint32_t channel = link.next_channel();
+    std::string bytes;
+    switch (op.kind) {
+      case TopologyOp::Kind::kExchange:
+        bytes = encode_declare_exchange(channel, op.a, op.exchange_type);
+        break;
+      case TopologyOp::Kind::kQueue:
+        bytes = encode_declare_queue(channel, op.a, op.queue_options);
+        break;
+      case TopologyOp::Kind::kBind:
+        bytes = encode_bind(channel, op.a, op.b, op.c);
+        break;
+    }
+    if (!link.send(bytes)) return false;
+  }
+  for (const auto& queue : consumed_) {
+    if (!link.send(encode_consume(link.next_channel(), queue))) return false;
+  }
+  return true;
+}
+
+void BusClient::tick(ClientLink& link, const std::stop_token& stop) {
+  auto last_heartbeat = Clock::now();
+  const auto done = [&] { return stop.stop_requested() || !link.alive(); };
+  std::unique_lock lock{state_mutex_};
+  while (!done()) {
+    state_cv_.wait_for(lock, std::chrono::milliseconds(100), done);
+    lock.unlock();
+    // Acks accumulated since the last flush point ride out now, so
+    // coalescing adds at most one tick of latency.
+    flush_acks();
+    const auto now = Clock::now();
+    if (now - last_heartbeat >=
+        std::chrono::milliseconds(options_.heartbeat_interval_ms)) {
+      last_heartbeat = now;
+      (void)link.send(encode_heartbeat());
+    }
+    lock.lock();
+  }
+}
+
+void BusClient::on_frame(const Frame& frame) {
   if (frame.type == FrameType::kError) {
     client_telemetry().async_errors.inc();
     return;
   }
-
   if (frame.type == FrameType::kDeliverBatch) {
     std::vector<WireDelivery> batch;
     if (!parse_deliver_batch(frame, &batch,
                              wire_trace_.load(std::memory_order_relaxed))) {
       return;
     }
+    flush_acks();
     for (auto& delivery : batch) enqueue_delivery(std::move(delivery));
     return;
   }
@@ -304,6 +210,7 @@ void BusClient::dispatch(const Frame& frame) {
                      wire_trace_.load(std::memory_order_relaxed))) {
     return;
   }
+  flush_acks();
   enqueue_delivery(std::move(delivery));
 }
 
@@ -313,46 +220,16 @@ void BusClient::enqueue_delivery(WireDelivery delivery) {
       (epoch_.load(std::memory_order_acquire) << kEpochShift) |
       (delivery.delivery_tag & kTagMask);
   auto buffer = buffer_for(delivery.queue);
-  // Blocking push: a full prefetch buffer parks the IO thread, which is
-  // exactly the client half of the backpressure chain.
+  // Blocking push: a full prefetch buffer parks the link's reader,
+  // which is exactly the client half of the backpressure chain.
   (void)buffer->push(std::move(delivery));
-}
-
-void BusClient::mark_disconnected() {
-  {
-    const std::scoped_lock lock{write_mutex_};
-    write_fd_ = -1;
-  }
-  connected_.store(false, std::memory_order_release);
-  fail_pending();
-  state_cv_.notify_all();
-}
-
-void BusClient::fail_pending() {
-  std::map<std::uint32_t, std::shared_ptr<PendingReply>> orphans;
-  {
-    const std::scoped_lock lock{state_mutex_};
-    orphans.swap(pending_);
-  }
-  for (auto& [channel, slot] : orphans) {
-    const std::scoped_lock lock{slot->mutex};
-    slot->failed = true;
-    slot->cv.notify_all();
-  }
 }
 
 // -- send paths -------------------------------------------------------------
 
-bool BusClient::send_now(const std::string& bytes) {
-  const std::scoped_lock lock{write_mutex_};
-  if (write_fd_ < 0) return false;
-  if (!common::send_all(write_fd_, bytes.data(), bytes.size())) {
-    // Wake the IO thread's read so the reconnect loop takes over.
-    ::shutdown(write_fd_, SHUT_RDWR);
-    write_fd_ = -1;
-    return false;
-  }
-  return true;
+bool BusClient::send_now(std::string_view bytes) {
+  const std::shared_lock lock{link_mutex_};
+  return link_ && link_->send(bytes);
 }
 
 void BusClient::send_blocking(const std::string& bytes) {
@@ -369,8 +246,8 @@ void BusClient::send_blocking(const std::string& bytes) {
   }
 }
 
-Frame BusClient::request(std::uint32_t channel, const std::string& bytes) {
-  auto& tele = client_telemetry();
+Frame BusClient::request(
+    const std::function<std::string(std::uint32_t)>& build) {
   // Buffered acks go first on the same stream, so a queue_stats reply
   // always reflects every ack issued before the call (callers poll
   // stats exactly this way).
@@ -379,44 +256,30 @@ Frame BusClient::request(std::uint32_t channel, const std::string& bytes) {
     if (closed_.load(std::memory_order_acquire)) {
       throw common::BusError("BusClient closed");
     }
-    auto slot = std::make_shared<PendingReply>();
-    {
-      const std::scoped_lock lock{state_mutex_};
-      pending_[channel] = slot;
-    }
-    const auto started = Clock::now();
-    if (!connected_.load(std::memory_order_acquire) || !send_now(bytes)) {
-      {
-        const std::scoped_lock lock{state_mutex_};
-        pending_.erase(channel);
+    if (connected_.load(std::memory_order_acquire)) {
+      const std::shared_lock lock{link_mutex_};
+      if (link_) {
+        const auto started = Clock::now();
+        const std::uint32_t channel = link_->next_channel();
+        try {
+          Frame reply = link_->request(channel, build(channel));
+          client_telemetry().request_rtt.observe(
+              std::chrono::duration<double>(Clock::now() - started).count());
+          return reply;
+        } catch (const RequestRejected& e) {
+          throw common::BusError(e.what());
+        } catch (const LinkError&) {
+          // Timeout or connection loss mid-exchange: retry, on the next
+          // connection if this one is gone (ops are idempotent
+          // broker-side).
+        }
       }
-      std::unique_lock lock{state_mutex_};
-      state_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
-        return connected_.load(std::memory_order_acquire) ||
-               closed_.load(std::memory_order_acquire);
-      });
-      continue;
     }
-    std::unique_lock lock{slot->mutex};
-    const bool got = slot->cv.wait_for(
-        lock, std::chrono::milliseconds(options_.request_timeout_ms),
-        [&] { return slot->reply.has_value() || slot->failed; });
-    if (!got || slot->failed) {
-      // Timeout or connection loss mid-exchange: unregister and retry
-      // on the next connection (ops are idempotent broker-side).
-      const std::scoped_lock slock{state_mutex_};
-      pending_.erase(channel);
-      continue;
-    }
-    tele.request_rtt.observe(
-        std::chrono::duration<double>(Clock::now() - started).count());
-    Frame reply = std::move(*slot->reply);
-    if (reply.type == FrameType::kError) {
-      PayloadReader reader{reply.payload};
-      auto reason = reader.str();
-      throw common::BusError(reader.ok() ? reason : "bus error");
-    }
-    return reply;
+    std::unique_lock lock{state_mutex_};
+    state_cv_.wait_for(lock, std::chrono::milliseconds(100), [this] {
+      return connected_.load(std::memory_order_acquire) ||
+             closed_.load(std::memory_order_acquire);
+    });
   }
 }
 
@@ -432,8 +295,9 @@ void BusClient::declare_exchange(const std::string& name,
     op.exchange_type = type;
     topology_.push_back(std::move(op));
   }
-  const auto channel = next_channel();
-  (void)request(channel, encode_declare_exchange(channel, name, type));
+  (void)request([&](std::uint32_t channel) {
+    return encode_declare_exchange(channel, name, type);
+  });
 }
 
 void BusClient::declare_queue(const std::string& name,
@@ -446,8 +310,9 @@ void BusClient::declare_queue(const std::string& name,
     op.queue_options = options;
     topology_.push_back(std::move(op));
   }
-  const auto channel = next_channel();
-  (void)request(channel, encode_declare_queue(channel, name, options));
+  (void)request([&](std::uint32_t channel) {
+    return encode_declare_queue(channel, name, options);
+  });
 }
 
 void BusClient::bind(const std::string& queue, const std::string& exchange,
@@ -461,8 +326,9 @@ void BusClient::bind(const std::string& queue, const std::string& exchange,
     op.c = binding_key;
     topology_.push_back(std::move(op));
   }
-  const auto channel = next_channel();
-  (void)request(channel, encode_bind(channel, queue, exchange, binding_key));
+  (void)request([&](std::uint32_t channel) {
+    return encode_bind(channel, queue, exchange, binding_key);
+  });
 }
 
 std::size_t BusClient::publish(const std::string& exchange,
@@ -559,10 +425,11 @@ std::optional<bus::Delivery> BusClient::basic_get(
     }
   }
   auto buffer = buffer_for(queue);
-  if (fresh && connected_.load(std::memory_order_acquire)) {
-    // Fire-and-forget: the reply is dropped by dispatch, and every
-    // reconnect re-sends the CONSUME from `consumed_` anyway.
-    (void)send_now(encode_consume(next_channel(), queue));
+  if (fresh) {
+    // Fire-and-forget: nobody waits for the reply, and every reconnect
+    // re-sends the CONSUME from `consumed_` anyway.
+    const std::shared_lock lock{link_mutex_};
+    if (link_) (void)link_->send(encode_consume(link_->next_channel(), queue));
   }
   auto wire = timeout_ms <= 0
                   ? buffer->try_pop()
@@ -583,7 +450,8 @@ bool BusClient::ack(const std::string& queue, std::uint64_t delivery_tag) {
   }
   if (wire_batch_.load(std::memory_order_relaxed)) {
     // Coalesce: tags park (epoch-stamped) until the next flush point —
-    // the IO loop's pass, a request/reply op, or the eager cap here.
+    // an inbound delivery, the IO thread's tick, a request/reply op, or
+    // the eager cap here.
     bool eager = false;
     {
       const std::scoped_lock lock{ack_mutex_};
@@ -638,9 +506,9 @@ bool BusClient::nack(const std::string& queue, std::uint64_t delivery_tag,
 
 bus::QueueStats BusClient::queue_stats(const std::string& queue) const {
   auto* self = const_cast<BusClient*>(this);
-  const auto channel = self->next_channel();
-  const auto reply =
-      self->request(channel, encode_queue_stats(channel, queue));
+  const auto reply = self->request([&](std::uint32_t channel) {
+    return encode_queue_stats(channel, queue);
+  });
   bus::QueueStats stats;
   if (reply.type != FrameType::kQueueStatsOk ||
       !parse_queue_stats_ok(reply, &stats)) {

@@ -7,12 +7,13 @@
 // publish, basic_get, ack/nack, queue_stats — the transport is
 // invisible to the caller.
 //
-// Reconnection: a single IO thread owns the socket. On any connection
-// loss it backs off exponentially (options.reconnect_*), reconnects,
-// re-runs the versioned handshake, replays every exchange/queue/binding
-// this client ever declared, and re-issues CONSUME for every queue with
-// an active pull loop — callers just see basic_get stall until the
-// stream resumes.
+// Reconnection: an IO thread owns the connection's lifecycle. It
+// connects a net::ClientLink (retrying with jittered backoff until
+// close()), replays every exchange/queue/binding this client ever
+// declared and re-issues CONSUME for every queue with an active pull
+// loop; then it flushes coalesced acks and sends heartbeats until the
+// link reports its loss, and starts over — callers just see
+// basic_get stall until the stream resumes.
 //
 // Delivery tags and restarts: a restarted broker numbers deliveries
 // from 1 again, so a tag from before the reconnect could alias a fresh
@@ -25,19 +26,23 @@
 // — at-least-once end to end (DESIGN.md "Delivery guarantees").
 //
 // Flow control: deliveries pushed by the server land in a bounded
-// per-queue prefetch buffer. When a consumer stops draining it, the IO
-// thread blocks on the push, stops reading the socket, the kernel
-// receive window closes, and backpressure propagates to the server's
-// bounded outbound queue and from there to the broker.
+// per-queue prefetch buffer. When a consumer stops draining it, the
+// link's reader thread blocks on the push, stops reading the socket,
+// the kernel receive window closes, and backpressure propagates to the
+// server's bounded outbound queue and from there to the broker.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
+#include <stop_token>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -45,7 +50,7 @@
 #include "bus/message.hpp"
 #include "bus/queue.hpp"
 #include "common/concurrent_queue.hpp"
-#include "common/socket.hpp"
+#include "net/client_link.hpp"
 #include "net/frame.hpp"
 
 namespace stampede::net {
@@ -59,23 +64,15 @@ struct BusClientOptions {
   /// How long a request/reply op (declare, bind, stats) waits for its
   /// reply before retrying on the next connection.
   int request_timeout_ms = 5000;
-  /// Deliveries buffered per consumed queue before the IO thread stops
-  /// reading the socket (the client half of the backpressure chain).
+  /// Deliveries buffered per consumed queue before the link's reader
+  /// stops reading the socket (the client half of the backpressure
+  /// chain).
   std::size_t prefetch = 64;
-  /// Heartbeat cadence when nothing else is sent; keeps the server's
-  /// idle timeout at bay.
+  /// Heartbeat cadence; keeps the server's idle timeout at bay.
   int heartbeat_interval_ms = 1000;
-  /// Offer kFeatureTrace at handshake so messages carry their trace
-  /// context on the wire. Applied only when the server grants it; a
-  /// peer that rejects the feature-extended HELLO outright (a v1
-  /// server) downgrades this client to the plain handshake.
-  bool enable_trace = true;
-  /// Offer kFeatureBatch: concurrent publishes group-commit into
-  /// kPublishBatch frames and acks coalesce into kAckBatch frames.
-  /// Same downgrade path as enable_trace.
-  bool enable_batch = true;
-  /// Acks buffered before an eager kAckBatch flush (they also flush on
-  /// every IO-loop pass and before any request/reply op).
+  /// Acks buffered before an eager kAckBatch flush (they also flush
+  /// when the next delivery arrives, on every IO-thread tick and before
+  /// any request/reply op).
   std::size_t ack_batch_max = 64;
 };
 
@@ -141,37 +138,27 @@ class BusClient final : public bus::IBus {
   void close();
 
  private:
-  struct PendingReply {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::optional<Frame> reply;
-    bool failed = false;  ///< Connection died before the reply arrived.
-  };
   using Buffer = common::ConcurrentQueue<WireDelivery>;
 
-  void io_loop(const std::stop_token& stop);
-  /// Connect + handshake + topology/consume replay. Returns the live
-  /// socket (leftover inbound bytes in `carry`), or invalid on failure.
-  common::SocketFd establish(const std::stop_token& stop, std::string& carry);
-  void read_stream(common::SocketFd& fd, std::string& carry,
-                   const std::stop_token& stop);
-  void dispatch(const Frame& frame);
-  void fail_pending();
-  void mark_disconnected();
+  /// The IO thread: connect, replay, tick until the link dies; repeat
+  /// until close().
+  void run(const std::stop_token& stop);
+  /// Sends the recorded topology and CONSUMEs on a fresh link.
+  bool replay(ClientLink& link);
+  /// Flushes acks and sends heartbeats until `link` dies or stop.
+  void tick(ClientLink& link, const std::stop_token& stop);
+  /// Channel-0 frames from the link's reader thread.
+  void on_frame(const Frame& frame);
 
-  /// Sends raw bytes on the current socket (write-mutex serialized).
-  /// False when disconnected or the send fails.
-  bool send_now(const std::string& bytes);
+  /// Sends on the live link. False when disconnected or the send fails.
+  bool send_now(std::string_view bytes);
   /// Blocks until connected, then sends; retries across reconnects.
   /// Throws common::BusError once the client is closed.
   void send_blocking(const std::string& bytes);
-  /// send + wait for the reply on `channel`; retries the whole exchange
-  /// on connection loss. Throws common::BusError on a kError reply or
-  /// when closed.
-  Frame request(std::uint32_t channel, const std::string& bytes);
-  [[nodiscard]] std::uint32_t next_channel() const {
-    return channel_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  /// Sends the frame `build(channel)` and waits for its reply; retries
+  /// the whole exchange on connection loss. Throws common::BusError on
+  /// a kError reply or when closed.
+  Frame request(const std::function<std::string(std::uint32_t)>& build);
 
   std::shared_ptr<Buffer> buffer_for(const std::string& queue);
 
@@ -187,7 +174,6 @@ class BusClient final : public bus::IBus {
   void flush_acks();
 
   BusClientOptions options_;
-  std::jthread io_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> epoch_{0};
@@ -195,20 +181,16 @@ class BusClient final : public bus::IBus {
   std::atomic<bool> wire_trace_{false};
   /// BATCH granted on the live connection (handshake negotiation).
   std::atomic<bool> wire_batch_{false};
-  /// The peer rejected the feature-extended HELLO (v1 server); all
-  /// later attempts use the plain handshake.
-  std::atomic<bool> hello_legacy_{false};
-  mutable std::mutex state_mutex_;        ///< Guards the cv + maps below.
-  std::condition_variable state_cv_;      ///< Connected-state changes.
-  std::map<std::uint32_t, std::shared_ptr<PendingReply>> pending_;
+  mutable std::mutex state_mutex_;    ///< Guards the cv + buffers_.
+  std::condition_variable state_cv_;  ///< Connected-state changes, link loss.
   std::map<std::string, std::shared_ptr<Buffer>> buffers_;
 
-  // Write path: the live fd, serialized against concurrent senders
-  // (callers + the IO thread's heartbeats).
-  mutable std::mutex write_mutex_;
-  int write_fd_ = -1;  ///< -1 while disconnected.
-
-  mutable std::atomic<std::uint32_t> channel_seq_{0};
+  /// The live link; null while disconnected. Callers use it under a
+  /// shared lock and the IO thread swaps it under an exclusive one, so
+  /// a link is destroyed (its reader joined) only on the IO thread and
+  /// only once no caller is inside it.
+  mutable std::shared_mutex link_mutex_;
+  std::unique_ptr<ClientLink> link_;
 
   // Topology replayed after every reconnect, in declaration order.
   struct TopologyOp {
@@ -235,6 +217,8 @@ class BusClient final : public bus::IBus {
   // and re-checked at flush time.
   std::mutex ack_mutex_;
   std::vector<WireAck> ack_pending_;
+
+  std::jthread io_;  ///< Last: joined before the state it uses dies.
 };
 
 }  // namespace stampede::net

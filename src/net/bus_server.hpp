@@ -19,8 +19,8 @@
 // Batching: on connections that negotiated kFeatureBatch the pump packs
 // its drain into one kDeliverBatch frame and clients pack publish
 // bursts into kPublishBatch / acks into kAckBatch — many BP events per
-// TCP segment. v1 peers (no feature bit) get singular frames, still
-// coalesced into single writes by the Connection double buffer.
+// TCP segment. Peers without the bit (plain HELLO) get singular frames,
+// still coalesced into single writes by the Connection double buffer.
 //
 // Failure: when a connection dies (EOF, socket error, idle past the
 // timeout) a reaper thread joins its pumps and nack-requeues every

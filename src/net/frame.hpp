@@ -38,20 +38,17 @@ inline constexpr std::uint16_t kProtocolVersion = 1;
 inline constexpr std::string_view kMagic = "SBUS";
 
 // Optional capabilities negotiated at handshake time (DESIGN.md §11).
-// A client that wants extras appends a u32 feature bitmap to its HELLO;
-// the server answers with the intersection it supports appended to
-// HELLO_OK. Both payloads are backward compatible: a v1 server rejects
-// the longer HELLO with kError (the client falls back to a plain HELLO
-// on its next attempt), and a v1 client never parses the HELLO_OK
-// payload at all. Wire changes guarded by a feature bit only apply on
-// connections where both sides advertised it.
+// A client appends a u32 feature bitmap to its HELLO; the server
+// answers with the intersection it supports appended to HELLO_OK (a
+// plain HELLO is granted nothing). Wire changes guarded by a feature
+// bit only apply on connections where both sides advertised it.
 /// Message frames carry the distributed-tracing suffix (trace context +
 /// anchored wall stamps).
 inline constexpr std::uint32_t kFeatureTrace = 1u << 0;
 /// Peers may pack many publishes/deliveries/acks into one batch frame
 /// (kPublishBatch/kDeliverBatch/kAckBatch) — many BP events per TCP
-/// segment. Negotiated like kFeatureTrace; v1 peers never see batch
-/// frames.
+/// segment. Negotiated like kFeatureTrace; a peer not granted it never
+/// sees batch frames.
 inline constexpr std::uint32_t kFeatureBatch = 1u << 1;
 /// Distributed-archive frames (kCluster*): a shard host serves
 /// StorageShards to a query router over this connection. Negotiated
@@ -189,8 +186,7 @@ void encode_message(std::string& out, const bus::Message& message,
 // Payload builders + parsers per frame type. Builders return the full
 // encoded frame; parse_* return false on a malformed payload.
 
-/// `features` != 0 appends the capability bitmap (a v1 server rejects
-/// that form; callers retry with features = 0).
+/// `features` != 0 appends the capability bitmap.
 [[nodiscard]] std::string encode_hello(std::uint32_t channel,
                                        std::uint32_t features = 0);
 /// Accepts both HELLO forms; `*features` (optional) gets 0 for the
@@ -198,8 +194,7 @@ void encode_message(std::string& out, const bus::Message& message,
 [[nodiscard]] bool parse_hello(const Frame& frame, std::uint16_t* version,
                                std::uint32_t* features = nullptr);
 
-/// `features` != 0 appends the granted capability bitmap (ignored
-/// harmlessly by v1 clients, which never parse the HELLO_OK payload).
+/// `features` != 0 appends the granted capability bitmap.
 [[nodiscard]] std::string encode_hello_ok(std::uint32_t channel,
                                           std::uint32_t features = 0);
 /// Accepts both HELLO_OK forms; `*features` gets 0 for the plain form.

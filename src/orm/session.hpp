@@ -49,6 +49,10 @@ class Session {
   /// Writes all pending operations, in order, inside one transaction.
   void flush();
 
+  /// Drops every pending operation unwritten (crash simulation: what a
+  /// killed process loses).
+  void discard() noexcept { pending_.clear(); }
+
   /// Invoked after every successful flush() commit with the number of
   /// operations written. The loader uses this to observe true
   /// publish→commit latency: rows are durable exactly when the hook

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,7 +23,6 @@
 #include "bus/bp_publisher.hpp"
 #include "bus/broker.hpp"
 #include "cluster/cluster_routes.hpp"
-#include "cluster/link.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard_host.hpp"
 #include "cluster/shard_map.hpp"
@@ -32,6 +33,7 @@
 #include "db/sharded_database.hpp"
 #include "loader/nl_load.hpp"
 #include "loader/sharded_loader.hpp"
+#include "net/client_link.hpp"
 #include "netlogger/events.hpp"
 #include "netlogger/formatter.hpp"
 #include "netlogger/parser.hpp"
@@ -412,10 +414,10 @@ TEST(ClusterHash, RouterHashAgreesWithLocalPartitioning) {
 }
 
 // ---------------------------------------------------------------------------
-// Link: bounded, jittered connect retries (no hang on a dead host)
+// ClientLink: bounded, jittered connect retries (no hang on a dead host)
 
 TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
-  cluster::LinkOptions options;
+  net::ClientLinkOptions options;
   options.connect_attempts = 3;
   options.backoff_ms = 10;
   options.max_backoff_ms = 40;
@@ -425,8 +427,9 @@ TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
                           .value();
   const auto start = std::chrono::steady_clock::now();
   // Port 1 on localhost: connection refused immediately.
-  EXPECT_THROW(cluster::Link({"127.0.0.1", 1}, options),
-               cluster::ClusterError);
+  EXPECT_THROW(
+      net::ClientLink({"127.0.0.1", 1}, net::kFeatureCluster, options),
+      net::LinkError);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -435,6 +438,21 @@ TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
                 .counter("stampede_cluster_connect_retries_total")
                 .value(),
             before + 2);  // attempts - 1 retries.
+}
+
+TEST(ClusterLink, RouterThrowsCleanlyWhenALaterHostIsUnreachable) {
+  const auto dir = fresh_dir("stampede_test_cluster_unreachable");
+  auto fleet = Fleet::start(dir, {{0}}, 2);
+  cluster::RouterOptions options;
+  options.link.connect_attempts = 2;
+  options.link.backoff_ms = 10;
+  // The first placement connects; the second cannot, and the router's
+  // unwinding must shut the first link down before its own state dies.
+  EXPECT_THROW(
+      cluster::Router(cluster::ShardMap::parse(fleet.spec + ";1@127.0.0.1:1"),
+                      options),
+      net::LinkError);
+  for (auto& host : fleet.hosts) host->stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +690,7 @@ TEST(ClusterFailover, MidFileReplicaCorruptionRefusesPromotion) {
   cluster::ShardHost follower{fo};
   follower.start();
 
-  cluster::Link link{{"127.0.0.1", follower.port()}};
+  net::ClientLink link{{"127.0.0.1", follower.port()}, net::kFeatureCluster};
   link.start([](const net::Frame&) {}, [] {});
   // Corruption in the *middle* of the replicated WAL — not a torn tail,
   // so promotion must refuse rather than silently drop committed data.
@@ -685,7 +703,7 @@ TEST(ClusterFailover, MidFileReplicaCorruptionRefusesPromotion) {
             channel, cluster::encode_cluster_promote(channel, {0}));
         (void)reply;
       },
-      cluster::ClusterError);
+      net::LinkError);
   EXPECT_FALSE(follower.promoted());
   link.close();
   follower.stop();
@@ -753,5 +771,36 @@ TEST(ClusterPump, QueuePumpOverRouterAcksAfterRemoteCommit) {
   EXPECT_EQ(broker.queue_stats("stampede").unacked, 0u);
   const query::QueryInterface q{router.backend()};
   EXPECT_TRUE(q.workflow_by_uuid(wf_uuid(50).to_string()).has_value());
+  for (auto& host : fleet.hosts) host->stop();
+}
+
+TEST(ClusterPump, FinishReturnsOnlyAfterEveryAckCallbackRan) {
+  const auto dir = fresh_dir("stampede_test_cluster_finish_acks");
+  auto fleet = Fleet::start(dir, {{0, 1}}, 2);
+  const auto events = synthetic_workflow(wf_uuid(60), 3);
+  std::mutex mutex;
+  std::vector<std::uint64_t> recorded;
+  {
+    cluster::Router router{cluster::ShardMap::parse(fleet.spec)};
+    router.set_ack_callback([&](std::uint64_t tag) {
+      // Slow on purpose: the drain must wait for the callbacks, not
+      // just for the in-flight window to empty.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      const std::scoped_lock lock{mutex};
+      recorded.push_back(tag);
+    });
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      ASSERT_TRUE(router.process(events[i], nullptr, false, i + 1));
+    }
+    router.finish();
+    std::vector<std::uint64_t> seen;
+    {
+      const std::scoped_lock lock{mutex};
+      seen = recorded;
+    }
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(seen.size(), events.size());
+    for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+  }
   for (auto& host : fleet.hosts) host->stop();
 }

@@ -181,15 +181,6 @@ TEST(ConcurrentQueries, CommitFromForeignThreadThrows) {
   EXPECT_FALSE(d.in_transaction());
 }
 
-TEST(ConcurrentQueries, ExclusiveReadsModeStillAnswersQueries) {
-  db::Database d;
-  d.create_table(events_def());
-  d.insert("events", {{"batch", Value{1}}, {"state", Value{"SUBMIT"}}});
-  d.set_exclusive_reads(true);
-  EXPECT_EQ(d.scalar(db::Select{"events"}.count_all("n"))->as_int(), 1);
-  d.set_exclusive_reads(false);
-}
-
 // ---------------------------------------------------------------------------
 // Version counters & query cache
 

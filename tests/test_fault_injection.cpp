@@ -132,7 +132,7 @@ TEST(FaultInjection, AckedSpoolStaysCompactBelowBound) {
 }
 
 // ---------------------------------------------------------------------------
-// Torn / corrupt / legacy spool files
+// Torn / corrupt / headerless spool files
 
 TEST(FaultInjection, TornTrailingSpoolRecordIsDiscarded) {
   TempDir dir{"stampede_fault_spool_torn"};
@@ -174,25 +174,19 @@ TEST(FaultInjection, MidFileSpoolCorruptionIsFatal) {
                stampede::common::BusError);
 }
 
-TEST(FaultInjection, LegacyV1SpoolUpgradesToV2) {
-  TempDir dir{"stampede_fault_spool_legacy"};
+TEST(FaultInjection, HeaderlessSpoolIsFatal) {
+  TempDir dir{"stampede_fault_spool_headerless"};
   const auto file = dir.path / "q.spool";
   {
-    // v1: no header, `<key> <body>` lines, everything live.
+    // No header line: not a spool this broker wrote.
     std::ofstream out{file};
-    out << "q \"ts=1 event=legacy.one\"\n";
-    out << "q \"ts=2 event=legacy.two\"\n";
+    out << "q \"ts=1 event=headerless.one\"\n";
+    out << "q \"ts=2 event=headerless.two\"\n";
   }
+  EXPECT_THROW(spool::recover_file(file.string()), stampede::common::BusError);
   bus::Broker broker{dir.path.string()};
-  broker.declare_queue("q", {.durable = true});
-  EXPECT_EQ(broker.queue_stats("q").depth, 2u);
-  EXPECT_EQ(broker.basic_get("q", "c")->message().body, "ts=1 event=legacy.one");
-  EXPECT_EQ(broker.basic_get("q", "c")->message().body, "ts=2 event=legacy.two");
-  // The recovery pass rewrote the file in v2 format on the spot.
-  std::ifstream in{file};
-  std::string first_line;
-  ASSERT_TRUE(std::getline(in, first_line));
-  EXPECT_EQ(first_line, spool::kHeader);
+  EXPECT_THROW(broker.declare_queue("q", {.durable = true}),
+               stampede::common::BusError);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 // task/timer dispatch, Connection frame reassembly under torn and
 // byte-at-a-time delivery, oversize-frame rejection, the slow-consumer
 // backpressure chain (bounded outbound buffer → blocked producer → TCP
-// pushback), batch-frame codec round-trips, and a many-connection soak
-// (≥512 concurrent publishers against one BusServer).
+// pushback), batch-frame codec round-trips, a many-connection soak
+// (≥512 concurrent publishers against one BusServer), and the client
+// side's ClientLink (channel-correlated requests, loss reporting,
+// feature refusal) against a scripted raw peer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -19,6 +22,7 @@
 #include "bus/broker.hpp"
 #include "common/socket.hpp"
 #include "net/bus_server.hpp"
+#include "net/client_link.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
@@ -148,6 +152,69 @@ bool plain_handshake(int fd) {
            frame.type == net::FrameType::kHelloOk;
   }
   return false;
+}
+
+/// Blocking read of one whole frame (`carry` holds bytes read past it).
+bool read_frame(int fd, std::string& carry, net::Frame* out) {
+  for (;;) {
+    std::size_t consumed = 0;
+    const auto status = net::decode_frame(carry, consumed, *out);
+    if (status == net::DecodeStatus::kFrame) {
+      carry.erase(0, consumed);
+      return true;
+    }
+    if (status == net::DecodeStatus::kError) return false;
+    char chunk[4096];
+    std::size_t received = 0;
+    if (common::recv_some(fd, chunk, sizeof(chunk), 5000, &received) !=
+        common::RecvStatus::kData) {
+      return false;
+    }
+    carry.append(chunk, received);
+  }
+}
+
+/// A scripted raw peer for ClientLink: accepts one connection, answers
+/// its HELLO granting `granted`, runs `script` on the socket, then
+/// hangs up.
+class FakePeer {
+ public:
+  using Script = std::function<void(int fd, std::string& carry)>;
+
+  FakePeer(std::uint32_t granted, Script script) {
+    listener_ = common::listen_tcp("127.0.0.1", 0, /*backlog=*/4, &port_);
+    thread_ = std::thread([this, granted, script = std::move(script)] {
+      auto fd = common::accept_client(listener_.get(), /*timeout_ms=*/5000);
+      std::string carry;
+      net::Frame hello;
+      if (!fd.valid() || !read_frame(fd.get(), carry, &hello)) return;
+      const auto ok = net::encode_hello_ok(hello.channel, granted);
+      if (!common::send_all(fd.get(), ok.data(), ok.size())) return;
+      script(fd.get(), carry);
+    });
+  }
+  ~FakePeer() { thread_.join(); }
+
+  FakePeer(const FakePeer&) = delete;
+  FakePeer& operator=(const FakePeer&) = delete;
+
+  [[nodiscard]] int port() const { return port_; }
+
+ private:
+  common::SocketFd listener_;
+  int port_ = 0;
+  std::thread thread_;
+};
+
+/// Reads `count` non-heartbeat frames. False when the stream ends first.
+bool read_requests(int fd, std::string& carry, std::size_t count,
+                   std::vector<net::Frame>* out) {
+  while (out->size() < count) {
+    net::Frame frame;
+    if (!read_frame(fd, carry, &frame)) return false;
+    if (frame.type != net::FrameType::kHeartbeat) out->push_back(frame);
+  }
+  return true;
 }
 
 }  // namespace
@@ -809,4 +876,88 @@ TEST(BusServerSoak, FiveHundredTwelveConcurrentPublishers) {
 
   sockets.clear();
   server.stop();
+}
+
+// ---------------------------------------------------------------------------
+// ClientLink
+
+TEST(ClientLink, OverlappingRequestsEachGetTheirOwnChannelsReply) {
+  constexpr std::size_t kRequests = 8;
+  FakePeer peer{net::kSupportedFeatures, [](int fd, std::string& carry) {
+    // Answer only once every request is in, in reverse order, so each
+    // reply reaches its caller through channel correlation alone.
+    std::vector<net::Frame> requests;
+    if (!read_requests(fd, carry, kRequests, &requests)) return;
+    for (auto it = requests.rbegin(); it != requests.rend(); ++it) {
+      const auto reply = net::encode_frame(
+          net::Frame{net::FrameType::kOk, it->channel, it->payload});
+      if (!common::send_all(fd, reply.data(), reply.size())) return;
+    }
+    net::Frame ignored;
+    while (read_frame(fd, carry, &ignored)) {
+    }
+  }};
+  net::ClientLink link{{"127.0.0.1", peer.port()}, 0};
+  link.start([](const net::Frame&) {}, [] {});
+
+  std::atomic<std::size_t> matched{0};
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    callers.emplace_back([&, i] {
+      const auto channel = link.next_channel();
+      const std::string body = "request-" + std::to_string(i);
+      const auto reply = link.request(
+          channel, net::encode_frame(net::Frame{net::FrameType::kQueueStats,
+                                                channel, body}));
+      if (reply.channel == channel && reply.payload == body) {
+        matched.fetch_add(1);
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(matched.load(), kRequests);
+  link.close();
+}
+
+TEST(ClientLink, PeerHangupFailsEveryPendingRequestAndFiresDownOnce) {
+  constexpr std::size_t kRequests = 4;
+  FakePeer peer{0, [](int fd, std::string& carry) {
+    // Take every request, answer none, hang up.
+    std::vector<net::Frame> requests;
+    (void)read_requests(fd, carry, kRequests, &requests);
+  }};
+  std::atomic<int> downs{0};
+  std::atomic<std::size_t> failed{0};
+  {
+    net::ClientLink link{{"127.0.0.1", peer.port()}, 0};
+    link.start([](const net::Frame&) {}, [&] { downs.fetch_add(1); });
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      callers.emplace_back([&] {
+        const auto channel = link.next_channel();
+        try {
+          (void)link.request(channel, net::encode_frame(net::Frame{
+                                          net::FrameType::kQueueStats,
+                                          channel, "stats"}));
+        } catch (const net::LinkError&) {
+          failed.fetch_add(1);
+        }
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    EXPECT_FALSE(link.alive());
+    link.close();  // Closing a dead link reports nothing new.
+  }  // Joins the reader: every down report has fired by now.
+  EXPECT_EQ(failed.load(), kRequests);
+  EXPECT_EQ(downs.load(), 1);
+}
+
+TEST(ClientLink, PeerWithoutRequiredFeatureIsRefused) {
+  FakePeer peer{net::kFeatureTrace | net::kFeatureBatch,
+                [](int, std::string&) {}};
+  net::ClientLinkOptions options;
+  options.request_timeout_ms = 2000;
+  EXPECT_THROW(net::ClientLink({"127.0.0.1", peer.port()},
+                               net::kFeatureCluster, options),
+               net::LinkError);
 }

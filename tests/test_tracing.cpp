@@ -15,6 +15,7 @@
 
 #include "bus/bp_publisher.hpp"
 #include "bus/broker.hpp"
+#include "common/socket.hpp"
 #include "dashboard/http_server.hpp"
 #include "dashboard/trace_routes.hpp"
 #include "loader/nl_load.hpp"
@@ -107,10 +108,9 @@ net::Frame decode_one(const std::string& bytes) {
   return frame;
 }
 
-net::BusClientOptions client_options(int port, bool enable_trace = true) {
+net::BusClientOptions client_options(int port) {
   net::BusClientOptions options;
   options.port = port;
-  options.enable_trace = enable_trace;
   return options;
 }
 
@@ -318,14 +318,35 @@ TEST(NetTrace, ClientsNegotiateTraceOnlyWhenTheyOfferIt) {
   net::BusServer server{broker};
   server.start();
 
-  net::BusClient with{client_options(server.port(), /*enable_trace=*/true)};
+  net::BusClient with{client_options(server.port())};
   ASSERT_TRUE(with.wait_connected(5000));
   EXPECT_TRUE(with.trace_negotiated());
 
-  net::BusClient without{
-      client_options(server.port(), /*enable_trace=*/false)};
-  ASSERT_TRUE(without.wait_connected(5000));
-  EXPECT_FALSE(without.trace_negotiated());
+  // A peer sending the plain HELLO (no feature bitmap) is granted none.
+  auto without = stampede::common::connect_tcp("127.0.0.1", server.port());
+  ASSERT_TRUE(without.valid());
+  const auto hello = net::encode_hello(1);
+  ASSERT_TRUE(
+      stampede::common::send_all(without.get(), hello.data(), hello.size()));
+  std::string buffer;
+  net::Frame reply;
+  for (;;) {
+    char chunk[256];
+    std::size_t received = 0;
+    ASSERT_EQ(stampede::common::recv_some(without.get(), chunk, sizeof chunk,
+                                          5000, &received),
+              stampede::common::RecvStatus::kData);
+    buffer.append(chunk, received);
+    std::size_t consumed = 0;
+    const auto status = net::decode_frame(buffer, consumed, reply);
+    ASSERT_NE(status, net::DecodeStatus::kError);
+    if (status == net::DecodeStatus::kFrame) break;
+  }
+  ASSERT_EQ(reply.type, net::FrameType::kHelloOk);
+  std::uint16_t version = 0;
+  std::uint32_t features = ~0u;
+  ASSERT_TRUE(net::parse_hello_ok(reply, &version, &features));
+  EXPECT_EQ(features, 0u);
 }
 
 TEST(NetTrace, ContextPropagatesAcrossTcp) {
