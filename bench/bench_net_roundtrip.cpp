@@ -159,9 +159,9 @@ void emit_net_json() {
 // ---------------------------------------------------------------------------
 // Connection-count sweep: K raw-socket publishers against one BusServer
 
-/// Plain v1 handshake on a blocking socket (HELLO out, HELLO_OK back).
+/// Bus handshake on a blocking socket (HELLO out, HELLO_OK back).
 bool plain_handshake(int fd) {
-  const auto hello = net::encode_hello(/*channel=*/1);
+  const auto hello = net::encode_hello(/*channel=*/1, net::kBusMagic);
   if (!stampede::common::send_all(fd, hello.data(), hello.size())) {
     return false;
   }
@@ -232,15 +232,20 @@ double measure_connection_sweep(std::size_t connections, std::size_t total) {
   const std::size_t per_connection =
       std::max<std::size_t>(1, total / connections);
   const std::size_t expected = per_connection * connections;
-  // Each connection publishes a short burst per visit (the shape the
-  // batching BusClient produces), round-robin over the thread's sockets
-  // so all K connections stay concurrently active.
+  // Each connection publishes a burst per visit as one PUBLISH frame of
+  // up to kBurst messages (the shape BusClient's group commit produces),
+  // round-robin over the thread's sockets so all K connections stay
+  // concurrently active.
   constexpr std::size_t kBurst = 128;
   auto burst_message = bench_message(0);
   burst_message.routing_key = "sweep";
-  const auto one_wire = net::encode_publish(0, "", std::move(burst_message));
-  std::string burst_wire;
-  for (std::size_t i = 0; i < kBurst; ++i) burst_wire += one_wire;
+  const auto burst_wire = [&](std::size_t n) {
+    const std::vector<net::WirePublish> entries(
+        n, net::WirePublish{"", burst_message});
+    return net::encode_publish(0, entries);
+  };
+  const std::string full_burst = burst_wire(kBurst);
+  const std::string last_burst = burst_wire(per_connection % kBurst);
   const auto start = Clock::now();
   {
     std::vector<std::jthread> senders;
@@ -249,9 +254,10 @@ double measure_connection_sweep(std::size_t connections, std::size_t total) {
         std::size_t sent = 0;
         while (sent < per_connection) {
           const std::size_t n = std::min(kBurst, per_connection - sent);
+          const std::string& wire = n == kBurst ? full_burst : last_burst;
           for (std::size_t i = t; i < connections; i += threads) {
-            if (!common::send_all(sockets[i].get(), burst_wire.data(),
-                                  one_wire.size() * n)) {
+            if (!common::send_all(sockets[i].get(), wire.data(),
+                                  wire.size())) {
               return;
             }
           }
@@ -321,21 +327,21 @@ void emit_connection_sweep_json() {
 void BM_FrameEncodePublish(benchmark::State& state) {
   const auto message = bench_message(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::encode_publish(1, "monitoring", message));
+    benchmark::DoNotOptimize(
+        net::encode_publish(1, {{"monitoring", message}}));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_FrameEncodePublish);
 
 void BM_FrameDecodePublish(benchmark::State& state) {
-  const auto bytes = net::encode_publish(1, "monitoring", bench_message(7));
+  const auto bytes = net::encode_publish(1, {{"monitoring", bench_message(7)}});
   for (auto _ : state) {
     net::Frame frame;
     std::size_t consumed = 0;
     benchmark::DoNotOptimize(net::decode_frame(bytes, consumed, frame));
-    std::string exchange;
-    bus::Message message;
-    benchmark::DoNotOptimize(net::parse_publish(frame, &exchange, &message));
+    std::vector<net::WirePublish> entries;
+    benchmark::DoNotOptimize(net::parse_publish(frame, &entries));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

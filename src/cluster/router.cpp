@@ -63,7 +63,7 @@ void Router::close_links() noexcept {
 }
 
 std::unique_ptr<net::ClientLink> Router::connect(const HostAddr& addr) {
-  auto link = std::make_unique<net::ClientLink>(addr, net::kFeatureCluster,
+  auto link = std::make_unique<net::ClientLink>(addr, net::kClusterMagic,
                                                 options_.link);
   link->start(
       [this](const net::Frame& frame) {

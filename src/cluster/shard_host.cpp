@@ -119,7 +119,7 @@ void ShardHost::start_compactor() {
 void ShardHost::start_replication() {
   if (!options_.follower_addr) return;
   repl_link_ = std::make_unique<net::ClientLink>(*options_.follower_addr,
-                                                 net::kFeatureCluster);
+                                                 net::kClusterMagic);
   repl_link_->start(
       [this](const net::Frame& frame) {
         if (frame.type != net::FrameType::kClusterReplicateAck) return;
@@ -307,18 +307,9 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
                              const net::Frame& frame) {
   using net::FrameType;
   if (!hconn->hello_done) {
-    std::uint16_t version = 0;
-    std::uint32_t requested = 0;
-    if (frame.type != FrameType::kHello ||
-        !net::parse_hello(frame, &version, &requested) ||
-        version != net::kProtocolVersion) {
-      hconn->conn->send(net::encode_error(frame.channel, "expected hello"));
-      return false;
-    }
-    hconn->hello_done = true;
-    hconn->conn->send(net::encode_hello_ok(
-        frame.channel, requested & net::kSupportedFeatures));
-    return true;
+    hconn->conn->send(
+        net::answer_hello(frame, net::kClusterMagic, &hconn->hello_done));
+    return hconn->hello_done;
   }
   switch (frame.type) {
     case FrameType::kHeartbeat:
@@ -491,7 +482,7 @@ void ShardHost::handle_replicate(const std::shared_ptr<HostConn>& hconn,
     replica.size = file_size_or_zero(replica.path);
     replica.out.open(replica.path, std::ios::binary | std::ios::app);
   }
-  if (offset <= replica.size) {
+  if (replica.out.is_open() && offset <= replica.size) {
     // Skip the prefix we already hold (idempotent overlap), append the
     // rest. A gap (offset > size) cannot be filled — ack what we have
     // and let the primary's stream continue; v1 never reorders.
@@ -500,7 +491,13 @@ void ShardHost::handle_replicate(const std::shared_ptr<HostConn>& hconn,
       replica.out.write(bytes.data() + skip,
                         static_cast<std::streamsize>(bytes.size() - skip));
       replica.out.flush();
-      replica.size += bytes.size() - skip;
+      if (replica.out) {
+        replica.size += bytes.size() - skip;
+      } else {
+        // Part of the bytes may have landed: the next append reopens
+        // and re-reads the size from the file itself.
+        replica.out.close();
+      }
     }
   }
   hconn->conn->send(encode_cluster_replicate_ack(shard, replica.size));

@@ -1,8 +1,8 @@
 #pragma once
 // Payload codecs for the distributed-archive frames (DESIGN.md §14).
 //
-// The net layer reserves FrameType::kCluster* and negotiates
-// kFeatureCluster; everything archive-specific — db::Value, db::Select
+// The net layer reserves FrameType::kCluster* and the kClusterMagic
+// HELLO; everything archive-specific — db::Value, db::Select
 // expression trees, db::ResultSet, nl::LogRecord, loader stats — is
 // encoded here so the bus wire protocol never learns about the archive.
 //

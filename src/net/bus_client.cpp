@@ -70,7 +70,7 @@ void BusClient::close() {
     for (auto& [queue, buffer] : buffers_) buffer->close();
   }
   state_cv_.notify_all();
-  publish_cv_.notify_all();  // Batched publishers check closed_ and bail.
+  publish_cv_.notify_all();  // Waiting publishers check closed_ and bail.
   if (io_.joinable()) io_.join();
 }
 
@@ -86,7 +86,7 @@ void BusClient::run(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
     std::unique_ptr<ClientLink> link;
     try {
-      link = std::make_unique<ClientLink>(addr, 0, link_options, stop);
+      link = std::make_unique<ClientLink>(addr, kBusMagic, link_options, stop);
     } catch (const LinkError&) {
       // Stopped, or a peer that refuses the handshake: wait the longest
       // backoff before asking again.
@@ -96,10 +96,6 @@ void BusClient::run(const std::stop_token& stop) {
                          [&] { return stop.stop_requested(); });
       continue;
     }
-    wire_trace_.store((link->features() & kFeatureTrace) != 0,
-                      std::memory_order_relaxed);
-    wire_batch_.store((link->features() & kFeatureBatch) != 0,
-                      std::memory_order_relaxed);
     epoch_.fetch_add(1, std::memory_order_acq_rel);
     link->start([this](const Frame& frame) { on_frame(frame); },
                 [this] {
@@ -193,25 +189,12 @@ void BusClient::on_frame(const Frame& frame) {
     client_telemetry().async_errors.inc();
     return;
   }
-  if (frame.type == FrameType::kDeliverBatch) {
-    std::vector<WireDelivery> batch;
-    if (!parse_deliver_batch(frame, &batch,
-                             wire_trace_.load(std::memory_order_relaxed))) {
-      return;
-    }
-    flush_acks();
-    for (auto& delivery : batch) enqueue_delivery(std::move(delivery));
-    return;
-  }
-  if (frame.type != FrameType::kDeliver) return;
-
-  WireDelivery delivery;
-  if (!parse_deliver(frame, &delivery,
-                     wire_trace_.load(std::memory_order_relaxed))) {
+  std::vector<WireDelivery> batch;
+  if (frame.type != FrameType::kDeliver || !parse_deliver(frame, &batch)) {
     return;
   }
   flush_acks();
-  enqueue_delivery(std::move(delivery));
+  for (auto& delivery : batch) enqueue_delivery(std::move(delivery));
 }
 
 void BusClient::enqueue_delivery(WireDelivery delivery) {
@@ -333,19 +316,6 @@ void BusClient::bind(const std::string& queue, const std::string& exchange,
 
 std::size_t BusClient::publish(const std::string& exchange,
                                bus::Message message) {
-  if (wire_batch_.load(std::memory_order_relaxed)) {
-    publish_batched(exchange, std::move(message));
-    return 1;
-  }
-  // Without the negotiated TRACE field the context still travels as the
-  // `traceparent` header BpPublisher set (headers always cross the wire).
-  send_blocking(encode_publish(0, exchange, message,
-                               wire_trace_.load(std::memory_order_relaxed)));
-  return 1;
-}
-
-void BusClient::publish_batched(const std::string& exchange,
-                                bus::Message message) {
   std::uint64_t my_gen = 0;
   {
     std::unique_lock lock{publish_mutex_};
@@ -362,14 +332,14 @@ void BusClient::publish_batched(const std::string& exchange,
       if (publish_flushed_gen_ < my_gen) {
         throw common::BusError("BusClient closed");
       }
-      return;
+      return 1;
     }
     publish_flusher_active_ = true;
   }
   // Appender-becomes-flusher: drain every entry that accumulates while
-  // we hold the socket — a lone publisher writes singular frames with
-  // zero added latency; concurrent publishers group-commit into
-  // kPublishBatch (many BP events per TCP segment).
+  // we hold the socket — a lone publisher writes a list of one with
+  // zero added latency; concurrent publishers group-commit into one
+  // kPublish frame (many BP events per TCP segment).
   for (;;) {
     std::vector<WirePublish> batch;
     std::uint64_t flushed_gen = 0;
@@ -382,17 +352,9 @@ void BusClient::publish_batched(const std::string& exchange,
       batch.swap(publish_pending_);
       flushed_gen = publish_append_gen_;
     }
-    const bool trace = wire_trace_.load(std::memory_order_relaxed);
-    std::string bytes;
-    if (batch.size() == 1) {
-      bytes = encode_publish(0, batch.front().exchange, batch.front().message,
-                             trace);
-    } else {
-      bytes = encode_publish_batch(0, batch, trace);
-      client_telemetry().publish_batches.inc();
-    }
+    if (batch.size() > 1) client_telemetry().publish_batches.inc();
     try {
-      send_blocking(bytes);
+      send_blocking(encode_publish(0, batch));
     } catch (...) {
       // Closed mid-flush: release the flusher role and wake waiters
       // (they observe closed_ and throw for themselves).
@@ -410,6 +372,7 @@ void BusClient::publish_batched(const std::string& exchange,
     }
     publish_cv_.notify_all();
   }
+  return 1;
 }
 
 std::optional<bus::Delivery> BusClient::basic_get(
@@ -448,20 +411,17 @@ bool BusClient::ack(const std::string& queue, std::uint64_t delivery_tag) {
     client_telemetry().stale_acks.inc();
     return false;
   }
-  if (wire_batch_.load(std::memory_order_relaxed)) {
-    // Coalesce: tags park (epoch-stamped) until the next flush point —
-    // an inbound delivery, the IO thread's tick, a request/reply op, or
-    // the eager cap here.
-    bool eager = false;
-    {
-      const std::scoped_lock lock{ack_mutex_};
-      ack_pending_.push_back(WireAck{queue, delivery_tag});
-      eager = ack_pending_.size() >= options_.ack_batch_max;
-    }
-    if (eager) flush_acks();
-    return true;
+  // Coalesce: tags park (epoch-stamped) until the next flush point — an
+  // inbound delivery, the IO thread's tick, a request/reply op, or the
+  // eager cap here.
+  bool eager = false;
+  {
+    const std::scoped_lock lock{ack_mutex_};
+    ack_pending_.push_back(WireAck{queue, delivery_tag});
+    eager = ack_pending_.size() >= options_.ack_batch_max;
   }
-  return send_now(encode_ack(0, queue, delivery_tag & kTagMask));
+  if (eager) flush_acks();
+  return true;
 }
 
 void BusClient::flush_acks() {
@@ -485,13 +445,8 @@ void BusClient::flush_acks() {
     live.push_back(std::move(ack));
   }
   if (live.empty()) return;
-  if (live.size() == 1) {
-    (void)send_now(encode_ack(0, live.front().queue,
-                              live.front().delivery_tag));
-    return;
-  }
-  client_telemetry().ack_batches.inc();
-  (void)send_now(encode_ack_batch(0, live));
+  if (live.size() > 1) client_telemetry().ack_batches.inc();
+  (void)send_now(encode_ack(0, live));
 }
 
 bool BusClient::nack(const std::string& queue, std::uint64_t delivery_tag,

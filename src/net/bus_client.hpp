@@ -25,6 +25,9 @@
 // redelivered=true and the loader's replay dedup absorbs the duplicate
 // — at-least-once end to end (DESIGN.md "Delivery guarantees").
 //
+// Batching: concurrent publish() calls group-commit into one kPublish
+// frame, and acks coalesce into one kAck frame per flush point.
+//
 // Flow control: deliveries pushed by the server land in a bounded
 // per-queue prefetch buffer. When a consumer stops draining it, the
 // link's reader thread blocks on the push, stops reading the socket,
@@ -70,9 +73,9 @@ struct BusClientOptions {
   std::size_t prefetch = 64;
   /// Heartbeat cadence; keeps the server's idle timeout at bay.
   int heartbeat_interval_ms = 1000;
-  /// Acks buffered before an eager kAckBatch flush (they also flush
-  /// when the next delivery arrives, on every IO-thread tick and before
-  /// any request/reply op).
+  /// Acks buffered before an eager kAck flush (they also flush when
+  /// the next delivery arrives, on every IO-thread tick and before any
+  /// request/reply op).
   std::size_t ack_batch_max = 64;
 };
 
@@ -96,14 +99,6 @@ class BusClient final : public bus::IBus {
   [[nodiscard]] std::uint64_t connection_epoch() const noexcept {
     return epoch_.load(std::memory_order_acquire);
   }
-  /// True when the live connection negotiated the TRACE wire field.
-  [[nodiscard]] bool trace_negotiated() const noexcept {
-    return wire_trace_.load(std::memory_order_relaxed);
-  }
-  /// True when the live connection negotiated batch frames.
-  [[nodiscard]] bool batch_negotiated() const noexcept {
-    return wire_batch_.load(std::memory_order_relaxed);
-  }
 
   // -- bus::IBus ------------------------------------------------------------
 
@@ -117,6 +112,9 @@ class BusClient final : public bus::IBus {
   /// Hands the message to the transport (blocking while disconnected).
   /// Returns 1 once written to the socket — routing happens broker-side
   /// and, like AMQP basic.publish, is not confirmed per message.
+  /// Group commit: the caller appends under the publish mutex; one
+  /// appender becomes the flusher and sends every entry that
+  /// accumulated while it was writing as one kPublish frame.
   std::size_t publish(const std::string& exchange,
                       bus::Message message) override;
 
@@ -165,11 +163,7 @@ class BusClient final : public bus::IBus {
   /// Epoch-stamps and enqueues one inbound delivery (blocking push into
   /// the prefetch buffer — the client half of the backpressure chain).
   void enqueue_delivery(WireDelivery delivery);
-  /// Group-commit publish path (batch connections): append under the
-  /// publish mutex; one appender becomes the flusher and drains every
-  /// entry that accumulated while it was writing.
-  void publish_batched(const std::string& exchange, bus::Message message);
-  /// Flushes buffered acks as one kAckBatch frame (stale epochs are
+  /// Flushes buffered acks as one kAck frame (stale epochs are
   /// dropped). No-op when nothing is pending.
   void flush_acks();
 
@@ -177,10 +171,6 @@ class BusClient final : public bus::IBus {
   std::atomic<bool> closed_{false};
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> epoch_{0};
-  /// TRACE granted on the live connection (handshake negotiation).
-  std::atomic<bool> wire_trace_{false};
-  /// BATCH granted on the live connection (handshake negotiation).
-  std::atomic<bool> wire_batch_{false};
   mutable std::mutex state_mutex_;    ///< Guards the cv + buffers_.
   std::condition_variable state_cv_;  ///< Connected-state changes, link loss.
   std::map<std::string, std::shared_ptr<Buffer>> buffers_;
@@ -203,9 +193,9 @@ class BusClient final : public bus::IBus {
   std::vector<TopologyOp> topology_;
   std::vector<std::string> consumed_;  ///< Queues with an active CONSUME.
 
-  // Publish group-commit state (batch connections). Generations let
-  // non-flusher appenders wait until THEIR entry hit the socket, so
-  // publish() keeps its written-when-it-returns contract.
+  // Publish group-commit state. Generations let non-flusher appenders
+  // wait until THEIR entry hit the socket, so publish() keeps its
+  // written-when-it-returns contract.
   std::mutex publish_mutex_;
   std::condition_variable publish_cv_;
   std::vector<WirePublish> publish_pending_;
@@ -213,8 +203,8 @@ class BusClient final : public bus::IBus {
   std::uint64_t publish_append_gen_ = 0;
   std::uint64_t publish_flushed_gen_ = 0;
 
-  // Ack coalescing state (batch connections). Tags stored epoch-stamped
-  // and re-checked at flush time.
+  // Ack coalescing state. Tags stored epoch-stamped and re-checked at
+  // flush time.
   std::mutex ack_mutex_;
   std::vector<WireAck> ack_pending_;
 

@@ -42,10 +42,6 @@ ServerTelemetry& server_telemetry() {
   return instance;
 }
 
-/// Worker-thread retry granularity for timed GETs (the reactor never
-/// blocks in the broker; it re-polls on a timer).
-constexpr int kGetSliceMs = 20;
-
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              Clock::now().time_since_epoch())
@@ -73,10 +69,6 @@ struct BusServer::ServerConn {
   bool hello_done = false;
   bool dying = false;  ///< Fatal frame seen; drain input, flush, close.
 
-  /// Features negotiated at handshake (client ∩ kSupportedFeatures).
-  /// Written once on the worker thread before any pump exists; atomic
-  /// because consumer pumps read it concurrently afterwards.
-  std::atomic<std::uint32_t> features{0};
   std::atomic<std::int64_t> last_inbound_ms{now_ms()};
   std::atomic<std::int64_t> last_outbound_ms{now_ms()};
 
@@ -86,13 +78,6 @@ struct BusServer::ServerConn {
   std::set<std::pair<std::string, std::uint64_t>> outstanding;
   std::set<std::string> consuming;  ///< Queues with a running pump.
   std::vector<std::jthread> pumps;
-
-  [[nodiscard]] bool has_feature(std::uint32_t bit) const noexcept {
-    return (features.load(std::memory_order_relaxed) & bit) != 0;
-  }
-  [[nodiscard]] bool wire_trace() const noexcept {
-    return has_feature(kFeatureTrace);
-  }
 
   /// All outbound traffic funnels through here so the heartbeat sweep
   /// sees send-side idleness.
@@ -245,26 +230,9 @@ bool BusServer::handle_frame(const std::shared_ptr<ServerConn>& sconn,
                              const Frame& frame) {
   auto& tele = server_telemetry();
   if (!sconn->hello_done) {
-    std::uint16_t version = 0;
-    std::uint32_t requested = 0;
-    if (frame.type != FrameType::kHello ||
-        !parse_hello(frame, &version, &requested)) {
-      tele.protocol_errors.inc();
-      sconn->send(encode_error(frame.channel, "expected hello"));
-      return false;
-    }
-    if (version != kProtocolVersion) {
-      sconn->send(encode_error(
-          frame.channel, "protocol version mismatch: server " +
-                             std::to_string(kProtocolVersion) + ", client " +
-                             std::to_string(version)));
-      return false;
-    }
-    const std::uint32_t granted = requested & kSupportedFeatures;
-    sconn->features.store(granted, std::memory_order_relaxed);
-    sconn->hello_done = true;
-    sconn->send(encode_hello_ok(frame.channel, granted));
-    return true;
+    sconn->send(answer_hello(frame, kBusMagic, &sconn->hello_done));
+    if (!sconn->hello_done) tele.protocol_errors.inc();
+    return sconn->hello_done;
   }
 
   // Request/reply ops answer on the request's channel; broker errors
@@ -304,27 +272,13 @@ bool BusServer::handle_frame(const std::shared_ptr<ServerConn>& sconn,
     }
 
     case FrameType::kPublish: {
-      std::string exchange;
-      bus::Message message;
-      if (!parse_publish(frame, &exchange, &message, sconn->wire_trace())) {
-        break;
-      }
-      try {
-        broker_->publish(exchange, std::move(message));
-      } catch (const std::exception& e) {
-        // Fire-and-forget op: report asynchronously, keep the session.
-        sconn->send(encode_error(frame.channel, e.what()));
-      }
-      return true;
-    }
-
-    case FrameType::kPublishBatch: {
       std::vector<WirePublish> entries;
-      if (!parse_publish_batch(frame, &entries, sconn->wire_trace())) break;
+      if (!parse_publish(frame, &entries)) break;
       for (auto& entry : entries) {
         try {
           broker_->publish(entry.exchange, std::move(entry.message));
         } catch (const std::exception& e) {
+          // Fire-and-forget op: report asynchronously, keep the session.
           sconn->send(encode_error(frame.channel, e.what()));
         }
       }
@@ -349,29 +303,9 @@ bool BusServer::handle_frame(const std::shared_ptr<ServerConn>& sconn,
       return true;
     }
 
-    case FrameType::kGet: {
-      std::string queue;
-      std::uint32_t timeout_ms = 0;
-      if (!parse_get(frame, &queue, &timeout_ms)) break;
-      handle_get(sconn, frame.channel, queue, now_ms() + timeout_ms);
-      return true;
-    }
-
     case FrameType::kAck: {
-      std::string queue;
-      std::uint64_t tag = 0;
-      if (!parse_ack(frame, &queue, &tag)) break;
-      {
-        const std::scoped_lock lock{sconn->outstanding_mutex};
-        sconn->outstanding.erase({queue, tag});
-      }
-      broker_->ack(queue, tag);
-      return true;
-    }
-
-    case FrameType::kAckBatch: {
       std::vector<WireAck> acks;
-      if (!parse_ack_batch(frame, &acks)) break;
+      if (!parse_ack(frame, &acks)) break;
       {
         const std::scoped_lock lock{sconn->outstanding_mutex};
         for (const auto& ack : acks) {
@@ -417,48 +351,14 @@ bool BusServer::handle_frame(const std::shared_ptr<ServerConn>& sconn,
   return false;
 }
 
-void BusServer::handle_get(const std::shared_ptr<ServerConn>& sconn,
-                           std::uint32_t channel, const std::string& queue,
-                           std::int64_t deadline_ms) {
-  // Worker thread. Try immediately; an empty queue with time left parks
-  // a retry timer instead of blocking the loop. All outcomes are
-  // sequenced with do_close on the worker, so a delivery registered
-  // here is always visible to the reaper's nack sweep.
-  if (sconn->conn->closed()) return;
-  auto delivery = broker_->basic_get(queue, sconn->tag, 0);
-  if (delivery) {
-    {
-      const std::scoped_lock lock{sconn->outstanding_mutex};
-      sconn->outstanding.emplace(queue, delivery->delivery_tag);
-    }
-    sconn->send(
-        encode_deliver(channel, queue, *delivery, sconn->wire_trace()));
-    return;
-  }
-  const std::int64_t remaining = deadline_ms - now_ms();
-  if (remaining <= 0) {
-    sconn->send(encode_empty(channel));
-    return;
-  }
-  sconn->loop->schedule(
-      std::chrono::milliseconds(std::min<std::int64_t>(remaining,
-                                                       kGetSliceMs)),
-      [this, sconn, channel, queue, deadline_ms] {
-        handle_get(sconn, channel, queue, deadline_ms);
-      });
-}
-
 void BusServer::start_consumer_pump(const std::shared_ptr<ServerConn>& sconn,
                                     const std::string& queue) {
   sconn->pumps.emplace_back([this, sconn, queue](std::stop_token pstop) {
-    const bool batching = sconn->has_feature(kFeatureBatch);
-    const bool trace = sconn->wire_trace();
     while (!pstop.stop_requested()) {
       auto first = broker_->basic_get(queue, sconn->tag, 50);
       if (!first) continue;
       // Greedy drain: whatever the broker has ready (bounded) travels
-      // in one send — one batch frame when negotiated, concatenated
-      // singular frames otherwise; either way one TCP segment's worth.
+      // in one DELIVER frame and one send.
       std::vector<bus::Delivery> batch;
       batch.push_back(std::move(*first));
       while (batch.size() < options_.deliver_batch_max) {
@@ -472,19 +372,11 @@ void BusServer::start_consumer_pump(const std::shared_ptr<ServerConn>& sconn,
           sconn->outstanding.emplace(queue, delivery.delivery_tag);
         }
       }
-      std::string bytes;
-      if (batching && batch.size() > 1) {
-        bytes = encode_deliver_batch(0, queue, batch, trace);
-      } else {
-        for (const auto& delivery : batch) {
-          bytes += encode_deliver(0, queue, delivery, trace);
-        }
-      }
       // Blocking send: a slow client stalls this pump at the outbound
       // byte cap (bounded memory); returns false only when the
       // connection is unwinding, in which case the reaper nacks the
       // deliveries we just registered.
-      if (!sconn->send(bytes)) break;
+      if (!sconn->send(encode_deliver(0, queue, batch))) break;
     }
   });
 }

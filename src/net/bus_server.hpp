@@ -16,11 +16,13 @@
 // pump — the broker keeps the messages, the client's TCP window fills,
 // and memory stays bounded; nothing is dropped.
 //
-// Batching: on connections that negotiated kFeatureBatch the pump packs
-// its drain into one kDeliverBatch frame and clients pack publish
-// bursts into kPublishBatch / acks into kAckBatch — many BP events per
-// TCP segment. Peers without the bit (plain HELLO) get singular frames,
-// still coalesced into single writes by the Connection double buffer.
+// Batching: a pump packs its drain into one kDeliver frame, and
+// clients pack publish bursts into one kPublish frame and acks into one
+// kAck frame — many BP events per TCP segment.
+//
+// Handshake: a connection's first frame must be a HELLO carrying
+// kBusMagic and kProtocolVersion; anything else is answered with kError
+// and a close.
 //
 // Failure: when a connection dies (EOF, socket error, idle past the
 // timeout) a reaper thread joins its pumps and nack-requeues every
@@ -56,7 +58,7 @@ struct BusServerOptions {
   /// Outbound BYTES buffered per connection before the consumer pumps
   /// block (the backpressure bound).
   std::size_t outbound_capacity = 1 << 20;
-  /// Most deliveries a pump packs into one kDeliverBatch frame.
+  /// Most deliveries a pump packs into one kDeliver frame.
   std::size_t deliver_batch_max = 64;
   /// A heartbeat frame is sent when the outbound side is idle this long.
   int heartbeat_interval_ms = 5000;
@@ -96,9 +98,6 @@ class BusServer {
   /// violation; the connection is flushed and dropped.
   bool handle_frame(const std::shared_ptr<ServerConn>& sconn,
                     const Frame& frame);
-  void handle_get(const std::shared_ptr<ServerConn>& sconn,
-                  std::uint32_t channel, const std::string& queue,
-                  std::int64_t deadline_ms);
   void start_consumer_pump(const std::shared_ptr<ServerConn>& sconn,
                            const std::string& queue);
   /// Heartbeat/idle sweep, one periodic timer per worker.

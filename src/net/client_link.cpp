@@ -15,18 +15,18 @@ using Clock = std::chrono::steady_clock;
 using namespace std::chrono_literals;
 
 /// Cluster links and bus clients keep their own retry series
-/// (DESIGN.md §9, §14); the cluster protocol bit tells them apart.
-telemetry::Counter& retry_counter(std::uint32_t required) {
+/// (DESIGN.md §9, §14); the HELLO magic tells them apart.
+telemetry::Counter& retry_counter(std::string_view magic) {
   static telemetry::Counter& cluster = telemetry::registry().counter(
       "stampede_cluster_connect_retries_total");
   static telemetry::Counter& bus = telemetry::registry().counter(
       "stampede_net_client_reconnect_attempts_total");
-  return (required & kFeatureCluster) != 0 ? cluster : bus;
+  return magic == kClusterMagic ? cluster : bus;
 }
 
 }  // namespace
 
-ClientLink::ClientLink(common::HostAddr addr, std::uint32_t required_features,
+ClientLink::ClientLink(common::HostAddr addr, std::string_view magic,
                        Options options, std::stop_token stop)
     : addr_(std::move(addr)), options_(options) {
   common::Rng jitter{options_.jitter_seed != 0 ? options_.jitter_seed
@@ -34,7 +34,7 @@ ClientLink::ClientLink(common::HostAddr addr, std::uint32_t required_features,
   int backoff_ms = options_.backoff_ms;
   for (int attempt = 1;; ++attempt) {
     fd_ = common::connect_tcp(addr_.host, addr_.port);
-    if (fd_.valid() && handshake(required_features, stop)) return;
+    if (fd_.valid() && handshake(magic, stop)) return;
     if (stop.stop_requested()) {
       throw LinkError{"link to " + addr_.to_string() + " stopped"};
     }
@@ -43,7 +43,7 @@ ClientLink::ClientLink(common::HostAddr addr, std::uint32_t required_features,
       throw LinkError{"cannot reach " + addr_.to_string() + " after " +
                       std::to_string(attempt) + " attempts"};
     }
-    retry_counter(required_features).inc();
+    retry_counter(magic).inc();
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(static_cast<std::int64_t>(
                            static_cast<double>(backoff_ms) *
@@ -58,9 +58,9 @@ ClientLink::ClientLink(common::HostAddr addr, std::uint32_t required_features,
   }
 }
 
-bool ClientLink::handshake(std::uint32_t required,
+bool ClientLink::handshake(std::string_view magic,
                            const std::stop_token& stop) {
-  const std::string hello = encode_hello(1, kSupportedFeatures);
+  const std::string hello = encode_hello(1, magic);
   if (!common::send_all(fd_.get(), hello.data(), hello.size())) return false;
   carry_.clear();
   const auto deadline =
@@ -92,15 +92,11 @@ bool ClientLink::handshake(std::uint32_t required,
     }
   }
   std::uint16_t version = 0;
-  std::uint32_t granted = 0;
-  if (reply.type != FrameType::kHelloOk ||
-      !parse_hello_ok(reply, &version, &granted) ||
-      (granted & required) != required) {
-    throw LinkError{"peer " + addr_.to_string() +
-                    " refused the handshake or lacks required features " +
-                    std::to_string(required)};
+  if (reply.type != FrameType::kHelloOk || !parse_hello_ok(reply, &version) ||
+      version != kProtocolVersion) {
+    throw LinkError{"peer " + addr_.to_string() + " refused the " +
+                    std::string{magic} + " handshake"};
   }
-  features_ = granted;
   return true;
 }
 

@@ -6,8 +6,9 @@
 // Connecting retries with exponential backoff and ±20% jitter, so a
 // restarting fleet does not reconnect in lockstep: bounded by
 // Options::connect_attempts (exhaustion throws instead of hanging), or
-// unbounded until the caller's stop token fires. The HELLO offers
-// kSupportedFeatures; a peer that does not grant every required bit is
+// unbounded until the caller's stop token fires. The HELLO names the
+// service by its magic (kBusMagic, kClusterMagic); a peer serving
+// another service or protocol version answers kError and the link is
 // refused. A link never reconnects itself: peers hold state (routed
 // applies, replication offsets, consumer subscriptions), so the loss is
 // reported to the owner through the down handler and the owner decides
@@ -72,11 +73,11 @@ class ClientLink {
   /// (peer hangup, corrupt stream, send failure or close()).
   using DownHandler = std::function<void()>;
 
-  /// Connects and runs the HELLO handshake. Throws LinkError when the
-  /// attempts run out, the stop token fires, or the peer refuses the
-  /// handshake or lacks a `required_features` bit (no retry: the
-  /// answer would not change).
-  ClientLink(common::HostAddr addr, std::uint32_t required_features,
+  /// Connects and runs the HELLO handshake for the service `magic`.
+  /// Throws LinkError when the attempts run out, the stop token fires,
+  /// or the peer refuses the handshake (no retry: the answer would not
+  /// change).
+  ClientLink(common::HostAddr addr, std::string_view magic,
              Options options = {}, std::stop_token stop = {});
   ~ClientLink();
 
@@ -97,8 +98,6 @@ class ClientLink {
   /// LinkError on timeout or link loss.
   [[nodiscard]] Frame request(std::uint32_t channel, std::string_view bytes);
 
-  /// Feature bits the peer granted at handshake.
-  [[nodiscard]] std::uint32_t features() const noexcept { return features_; }
   [[nodiscard]] bool alive() const noexcept { return !down_.load(); }
 
   /// Tears the connection down (idempotent): wakes the reader, blocked
@@ -108,7 +107,7 @@ class ClientLink {
  private:
   /// One HELLO exchange on fd_. False on a transport failure (worth a
   /// retry); throws LinkError when the peer answers with a refusal.
-  bool handshake(std::uint32_t required, const std::stop_token& stop);
+  bool handshake(std::string_view magic, const std::stop_token& stop);
   void reader();
   void read_frames();
   void dispatch(const Frame& frame);
@@ -116,7 +115,6 @@ class ClientLink {
   common::HostAddr addr_;
   Options options_;
   common::SocketFd fd_;
-  std::uint32_t features_ = 0;
   std::string carry_;  ///< Bytes read past HELLO_OK, handed to the reader.
 
   std::mutex send_mutex_;

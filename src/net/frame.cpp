@@ -12,7 +12,7 @@ namespace {
 /// Codec-level instruments, resolved once. Frame counters are per type
 /// (kMaxFrameType slots), matching the exposition series
 /// stampede_net_frames_total{type="..."}.
-constexpr int kMaxFrameType = 31;
+constexpr int kMaxFrameType = static_cast<int>(FrameType::kClusterStatsOk);
 
 struct FrameTelemetry {
   telemetry::Histogram& encode_latency = telemetry::registry().histogram(
@@ -53,17 +53,12 @@ std::string_view frame_type_name(FrameType type) {
     case FrameType::kBind: return "bind";
     case FrameType::kPublish: return "publish";
     case FrameType::kConsume: return "consume";
-    case FrameType::kGet: return "get";
     case FrameType::kDeliver: return "deliver";
-    case FrameType::kEmpty: return "empty";
     case FrameType::kAck: return "ack";
     case FrameType::kNack: return "nack";
     case FrameType::kQueueStats: return "queue_stats";
     case FrameType::kQueueStatsOk: return "queue_stats_ok";
     case FrameType::kHeartbeat: return "heartbeat";
-    case FrameType::kPublishBatch: return "publish_batch";
-    case FrameType::kDeliverBatch: return "deliver_batch";
-    case FrameType::kAckBatch: return "ack_batch";
     case FrameType::kClusterApply: return "cluster_apply";
     case FrameType::kClusterAck: return "cluster_ack";
     case FrameType::kClusterQuery: return "cluster_query";
@@ -203,8 +198,7 @@ DecodeStatus decode_frame(std::string_view buffer, std::size_t& consumed,
 // ---------------------------------------------------------------------------
 // Message codec
 
-void encode_message(std::string& out, const bus::Message& message,
-                    bool with_trace) {
+void encode_message(std::string& out, const bus::Message& message) {
   put_string(out, message.routing_key);
   put_string(out, message.body);
   put_u32(out, static_cast<std::uint32_t>(message.headers.size()));
@@ -215,18 +209,16 @@ void encode_message(std::string& out, const bus::Message& message,
   put_f64(out, message.published_at);
   put_u8(out, message.persistent ? 1 : 0);
   put_u32(out, message.redeliveries);
-  if (with_trace) {
-    put_u64(out, message.trace_ctx.trace_hi);
-    put_u64(out, message.trace_ctx.trace_lo);
-    put_u64(out, message.trace_ctx.span_id);
-    put_u8(out, message.trace_ctx.flags);
-    put_f64(out, message.trace_published_wall);
-    put_f64(out, message.trace_enqueued_wall);
-    put_f64(out, message.trace_spooled_wall);
-  }
+  put_u64(out, message.trace_ctx.trace_hi);
+  put_u64(out, message.trace_ctx.trace_lo);
+  put_u64(out, message.trace_ctx.span_id);
+  put_u8(out, message.trace_ctx.flags);
+  put_f64(out, message.trace_published_wall);
+  put_f64(out, message.trace_enqueued_wall);
+  put_f64(out, message.trace_spooled_wall);
 }
 
-bus::Message decode_message(PayloadReader& reader, bool with_trace) {
+bus::Message decode_message(PayloadReader& reader) {
   bus::Message message;
   message.routing_key = reader.str();
   message.body = reader.str();
@@ -238,15 +230,13 @@ bus::Message decode_message(PayloadReader& reader, bool with_trace) {
   message.published_at = reader.f64();
   message.persistent = reader.u8() != 0;
   message.redeliveries = reader.u32();
-  if (with_trace) {
-    message.trace_ctx.trace_hi = reader.u64();
-    message.trace_ctx.trace_lo = reader.u64();
-    message.trace_ctx.span_id = reader.u64();
-    message.trace_ctx.flags = reader.u8();
-    message.trace_published_wall = reader.f64();
-    message.trace_enqueued_wall = reader.f64();
-    message.trace_spooled_wall = reader.f64();
-  }
+  message.trace_ctx.trace_hi = reader.u64();
+  message.trace_ctx.trace_lo = reader.u64();
+  message.trace_ctx.span_id = reader.u64();
+  message.trace_ctx.flags = reader.u8();
+  message.trace_published_wall = reader.f64();
+  message.trace_enqueued_wall = reader.f64();
+  message.trace_spooled_wall = reader.f64();
   return message;
 }
 
@@ -262,42 +252,38 @@ std::string finish(FrameType type, std::uint32_t channel,
 
 }  // namespace
 
-std::string encode_hello(std::uint32_t channel, std::uint32_t features) {
+std::string encode_hello(std::uint32_t channel, std::string_view magic) {
   std::string p;
-  p.append(kMagic);
+  p.append(magic);
   put_u16(p, kProtocolVersion);
-  if (features != 0) put_u32(p, features);
   return finish(FrameType::kHello, channel, std::move(p));
 }
 
-bool parse_hello(const Frame& frame, std::uint16_t* version,
-                 std::uint32_t* features) {
-  const std::size_t size = frame.payload.size();
-  if ((size != kMagic.size() + 2 && size != kMagic.size() + 6) ||
-      std::string_view{frame.payload}.substr(0, kMagic.size()) != kMagic) {
-    return false;
+std::string answer_hello(const Frame& frame, std::string_view magic,
+                         bool* accepted) {
+  *accepted = false;
+  const std::string_view payload{frame.payload};
+  if (frame.type != FrameType::kHello || !payload.starts_with(magic)) {
+    return encode_error(frame.channel, "expected " + std::string{magic} +
+                                           " hello");
   }
-  PayloadReader r{std::string_view{frame.payload}.substr(kMagic.size())};
-  *version = r.u16();
-  const std::uint32_t advertised = size == kMagic.size() + 6 ? r.u32() : 0;
-  if (features != nullptr) *features = advertised;
-  return r.complete();
-}
-
-std::string encode_hello_ok(std::uint32_t channel, std::uint32_t features) {
+  PayloadReader r{payload.substr(magic.size())};
+  const std::uint16_t version = r.u16();
+  if (version != kProtocolVersion || !r.complete()) {
+    return encode_error(frame.channel,
+                        "protocol version mismatch: server " +
+                            std::to_string(kProtocolVersion) + ", client " +
+                            std::to_string(version));
+  }
+  *accepted = true;
   std::string p;
   put_u16(p, kProtocolVersion);
-  if (features != 0) put_u32(p, features);
-  return finish(FrameType::kHelloOk, channel, std::move(p));
+  return finish(FrameType::kHelloOk, frame.channel, std::move(p));
 }
 
-bool parse_hello_ok(const Frame& frame, std::uint16_t* version,
-                    std::uint32_t* features) {
-  const std::size_t size = frame.payload.size();
-  if (size != 2 && size != 6) return false;
+bool parse_hello_ok(const Frame& frame, std::uint16_t* version) {
   PayloadReader r{frame.payload};
   *version = r.u16();
-  *features = size == 6 ? r.u32() : 0;
   return r.complete();
 }
 
@@ -309,10 +295,6 @@ std::string encode_error(std::uint32_t channel, std::string_view reason) {
   std::string p;
   put_string(p, reason);
   return finish(FrameType::kError, channel, std::move(p));
-}
-
-std::string encode_empty(std::uint32_t channel) {
-  return finish(FrameType::kEmpty, channel, {});
 }
 
 std::string encode_heartbeat() {
@@ -384,22 +366,6 @@ bool parse_bind(const Frame& frame, std::string* queue, std::string* exchange,
   return r.complete();
 }
 
-std::string encode_publish(std::uint32_t channel, std::string_view exchange,
-                           const bus::Message& message, bool with_trace) {
-  std::string p;
-  put_string(p, exchange);
-  encode_message(p, message, with_trace);
-  return finish(FrameType::kPublish, channel, std::move(p));
-}
-
-bool parse_publish(const Frame& frame, std::string* exchange,
-                   bus::Message* message, bool with_trace) {
-  PayloadReader r{frame.payload};
-  *exchange = r.str();
-  *message = decode_message(r, with_trace);
-  return r.complete();
-}
-
 std::string encode_consume(std::uint32_t channel, std::string_view queue) {
   std::string p;
   put_string(p, queue);
@@ -412,53 +378,6 @@ bool parse_consume(const Frame& frame, std::string* queue) {
   return r.complete();
 }
 
-std::string encode_get(std::uint32_t channel, std::string_view queue,
-                       std::uint32_t timeout_ms) {
-  std::string p;
-  put_string(p, queue);
-  put_u32(p, timeout_ms);
-  return finish(FrameType::kGet, channel, std::move(p));
-}
-
-bool parse_get(const Frame& frame, std::string* queue,
-               std::uint32_t* timeout_ms) {
-  PayloadReader r{frame.payload};
-  *queue = r.str();
-  *timeout_ms = r.u32();
-  return r.complete();
-}
-
-std::string encode_deliver(std::uint32_t channel, std::string_view queue,
-                           const bus::Delivery& delivery, bool with_trace) {
-  std::string p;
-  put_string(p, queue);
-  put_u64(p, delivery.delivery_tag);
-  put_u8(p, delivery.redelivered ? 1 : 0);
-  put_string(p, delivery.consumer_tag);
-  put_string(p, delivery.exchange);
-  encode_message(p, delivery.message(), with_trace);
-  return finish(FrameType::kDeliver, channel, std::move(p));
-}
-
-bool parse_deliver(const Frame& frame, WireDelivery* out, bool with_trace) {
-  PayloadReader r{frame.payload};
-  out->queue = r.str();
-  out->delivery_tag = r.u64();
-  out->redelivered = r.u8() != 0;
-  out->consumer_tag = r.str();
-  out->exchange = r.str();
-  out->message = decode_message(r, with_trace);
-  return r.complete();
-}
-
-std::string encode_ack(std::uint32_t channel, std::string_view queue,
-                       std::uint64_t delivery_tag) {
-  std::string p;
-  put_string(p, queue);
-  put_u64(p, delivery_tag);
-  return finish(FrameType::kAck, channel, std::move(p));
-}
-
 std::string encode_nack(std::uint32_t channel, std::string_view queue,
                         std::uint64_t delivery_tag, bool requeue) {
   std::string p;
@@ -466,14 +385,6 @@ std::string encode_nack(std::uint32_t channel, std::string_view queue,
   put_u64(p, delivery_tag);
   put_u8(p, requeue ? 1 : 0);
   return finish(FrameType::kNack, channel, std::move(p));
-}
-
-bool parse_ack(const Frame& frame, std::string* queue,
-               std::uint64_t* delivery_tag) {
-  PayloadReader r{frame.payload};
-  *queue = r.str();
-  *delivery_tag = r.u64();
-  return r.complete();
 }
 
 bool parse_nack(const Frame& frame, std::string* queue,
@@ -528,37 +439,34 @@ bool parse_queue_stats_ok(const Frame& frame, bus::QueueStats* stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch frames
+// Message frames
 
-std::string encode_publish_batch(std::uint32_t channel,
-                                 const std::vector<WirePublish>& entries,
-                                 bool with_trace) {
+std::string encode_publish(std::uint32_t channel,
+                           const std::vector<WirePublish>& entries) {
   std::string p;
   put_u32(p, static_cast<std::uint32_t>(entries.size()));
   for (const auto& entry : entries) {
     put_string(p, entry.exchange);
-    encode_message(p, entry.message, with_trace);
+    encode_message(p, entry.message);
   }
-  return finish(FrameType::kPublishBatch, channel, std::move(p));
+  return finish(FrameType::kPublish, channel, std::move(p));
 }
 
-bool parse_publish_batch(const Frame& frame, std::vector<WirePublish>* out,
-                         bool with_trace) {
+bool parse_publish(const Frame& frame, std::vector<WirePublish>* out) {
   PayloadReader r{frame.payload};
   const std::uint32_t count = r.u32();
   out->clear();
   for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
     WirePublish entry;
     entry.exchange = r.str();
-    entry.message = decode_message(r, with_trace);
+    entry.message = decode_message(r);
     out->push_back(std::move(entry));
   }
   return r.complete() && out->size() == count;
 }
 
-std::string encode_deliver_batch(std::uint32_t channel, std::string_view queue,
-                                 const std::vector<bus::Delivery>& deliveries,
-                                 bool with_trace) {
+std::string encode_deliver(std::uint32_t channel, std::string_view queue,
+                           const std::vector<bus::Delivery>& deliveries) {
   std::string p;
   put_u32(p, static_cast<std::uint32_t>(deliveries.size()));
   for (const auto& delivery : deliveries) {
@@ -567,13 +475,12 @@ std::string encode_deliver_batch(std::uint32_t channel, std::string_view queue,
     put_u8(p, delivery.redelivered ? 1 : 0);
     put_string(p, delivery.consumer_tag);
     put_string(p, delivery.exchange);
-    encode_message(p, delivery.message(), with_trace);
+    encode_message(p, delivery.message());
   }
-  return finish(FrameType::kDeliverBatch, channel, std::move(p));
+  return finish(FrameType::kDeliver, channel, std::move(p));
 }
 
-bool parse_deliver_batch(const Frame& frame, std::vector<WireDelivery>* out,
-                         bool with_trace) {
+bool parse_deliver(const Frame& frame, std::vector<WireDelivery>* out) {
   PayloadReader r{frame.payload};
   const std::uint32_t count = r.u32();
   out->clear();
@@ -584,24 +491,24 @@ bool parse_deliver_batch(const Frame& frame, std::vector<WireDelivery>* out,
     entry.redelivered = r.u8() != 0;
     entry.consumer_tag = r.str();
     entry.exchange = r.str();
-    entry.message = decode_message(r, with_trace);
+    entry.message = decode_message(r);
     out->push_back(std::move(entry));
   }
   return r.complete() && out->size() == count;
 }
 
-std::string encode_ack_batch(std::uint32_t channel,
-                             const std::vector<WireAck>& acks) {
+std::string encode_ack(std::uint32_t channel,
+                       const std::vector<WireAck>& acks) {
   std::string p;
   put_u32(p, static_cast<std::uint32_t>(acks.size()));
   for (const auto& ack : acks) {
     put_string(p, ack.queue);
     put_u64(p, ack.delivery_tag);
   }
-  return finish(FrameType::kAckBatch, channel, std::move(p));
+  return finish(FrameType::kAck, channel, std::move(p));
 }
 
-bool parse_ack_batch(const Frame& frame, std::vector<WireAck>* out) {
+bool parse_ack(const Frame& frame, std::vector<WireAck>* out) {
   PayloadReader r{frame.payload};
   const std::uint32_t count = r.u32();
   out->clear();

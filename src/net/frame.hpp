@@ -1,9 +1,9 @@
 #pragma once
 // Wire protocol of the networked message bus (DESIGN.md "Network
-// substrate").
+// substrate") and of the cluster archive that rides it (§14).
 //
-// Every exchange between net::BusClient and net::BusServer is a
-// length-prefixed binary frame:
+// Every exchange between a net::ClientLink and a server (net::BusServer,
+// cluster::ShardHost) is a length-prefixed binary frame:
 //
 //   u32  length   -- bytes after this field (big-endian, bounded)
 //   u8   type     -- FrameType
@@ -13,15 +13,19 @@
 // Strings are u32-length-prefixed raw bytes — no escaping, any byte
 // value round-trips (the BP bodies and header values this carries may
 // contain newlines, quotes and NULs). A connection opens with a
-// versioned handshake (kHello carrying magic + protocol version,
-// answered by kHelloOk or kError+close), so incompatible peers fail
-// loudly instead of misparsing.
+// versioned handshake: kHello carries a magic naming the service
+// (kBusMagic or kClusterMagic) and the protocol version; the server
+// answers kHelloOk, or kError and a close for any other magic or
+// version, so incompatible peers fail loudly instead of misparsing.
+// There is one wire per version: no negotiated variants.
 //
-// Request/reply ops (declare/bind/get/stats) echo the request's nonzero
-// channel in the reply; publish/ack/nack are fire-and-forget like their
-// AMQP namesakes; kDeliver frames with channel 0 are unsolicited pushes
-// for a consumed queue. Either side sends kHeartbeat on an idle
-// connection; a peer silent past the server's idle timeout is dropped.
+// Request/reply ops (declare/bind/consume/stats) echo the request's
+// nonzero channel in the reply; publish/ack/nack are fire-and-forget
+// like their AMQP namesakes; kDeliver frames with channel 0 are
+// unsolicited pushes for a consumed queue. kPublish, kDeliver and kAck
+// each carry a counted list, so one frame holds every message a sender
+// has ready. Either side sends kHeartbeat on an idle connection; a peer
+// silent past the server's idle timeout is dropped.
 
 #include <cstdint>
 #include <string>
@@ -34,32 +38,16 @@
 
 namespace stampede::net {
 
-inline constexpr std::uint16_t kProtocolVersion = 1;
-inline constexpr std::string_view kMagic = "SBUS";
-
-// Optional capabilities negotiated at handshake time (DESIGN.md §11).
-// A client appends a u32 feature bitmap to its HELLO; the server
-// answers with the intersection it supports appended to HELLO_OK (a
-// plain HELLO is granted nothing). Wire changes guarded by a feature
-// bit only apply on connections where both sides advertised it.
-/// Message frames carry the distributed-tracing suffix (trace context +
-/// anchored wall stamps).
-inline constexpr std::uint32_t kFeatureTrace = 1u << 0;
-/// Peers may pack many publishes/deliveries/acks into one batch frame
-/// (kPublishBatch/kDeliverBatch/kAckBatch) — many BP events per TCP
-/// segment. Negotiated like kFeatureTrace; a peer not granted it never
-/// sees batch frames.
-inline constexpr std::uint32_t kFeatureBatch = 1u << 1;
-/// Distributed-archive frames (kCluster*): a shard host serves
-/// StorageShards to a query router over this connection. Negotiated
-/// like the other bits; a peer without it never sees cluster frames.
-inline constexpr std::uint32_t kFeatureCluster = 1u << 2;
-inline constexpr std::uint32_t kSupportedFeatures =
-    kFeatureTrace | kFeatureBatch | kFeatureCluster;
+inline constexpr std::uint16_t kProtocolVersion = 2;
+/// HELLO magics: each server accepts only its own service's.
+inline constexpr std::string_view kBusMagic = "SBUS";
+inline constexpr std::string_view kClusterMagic = "SCLU";
 /// Upper bound on one frame's post-length bytes; a decoder seeing a
 /// larger length treats the stream as corrupt and drops the connection.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
+// Contiguous from 1 to kClusterStatsOk, so decode_frame's range check
+// rejects every other type byte.
 enum class FrameType : std::uint8_t {
   kHello = 1,
   kHelloOk = 2,
@@ -70,33 +58,26 @@ enum class FrameType : std::uint8_t {
   kBind = 7,
   kPublish = 8,
   kConsume = 9,
-  kGet = 10,
-  kDeliver = 11,
-  kEmpty = 12,
-  kAck = 13,
-  kNack = 14,
-  kQueueStats = 15,
-  kQueueStatsOk = 16,
-  kHeartbeat = 17,
-  // Batch frames (kFeatureBatch connections only): u32 count followed
-  // by `count` payloads laid out exactly like the singular frame.
-  kPublishBatch = 18,
-  kDeliverBatch = 19,
-  kAckBatch = 20,
-  // Distributed archive (kFeatureCluster connections only; payload
-  // codecs live in cluster/wire.hpp — the cluster layer owns the
-  // archive-specific currency, this enum just reserves the types).
-  kClusterApply = 21,         ///< Router→host: batch of BP events for a shard.
-  kClusterAck = 22,           ///< Host→router: committed apply tags (chan 0).
-  kClusterQuery = 23,         ///< Router→host: one Select against one shard.
-  kClusterResult = 24,        ///< Host→router: the ResultSet reply.
-  kClusterVersions = 25,      ///< Router→host: table-version stamp request.
-  kClusterVersionsOk = 26,    ///< Host→router: the version vector reply.
-  kClusterReplicate = 27,     ///< Primary→follower: WAL bytes at an offset.
-  kClusterReplicateAck = 28,  ///< Follower→primary: bytes durable through.
-  kClusterPromote = 29,       ///< Router→follower: open shards, serve them.
-  kClusterStats = 30,         ///< Router→host: loader-stats request.
-  kClusterStatsOk = 31,       ///< Host→router: the LoaderStats reply.
+  kDeliver = 10,
+  kAck = 11,
+  kNack = 12,
+  kQueueStats = 13,
+  kQueueStatsOk = 14,
+  kHeartbeat = 15,
+  // Distributed archive (kClusterMagic connections; payload codecs live
+  // in cluster/wire.hpp — the cluster layer owns the archive-specific
+  // currency, this enum just reserves the types).
+  kClusterApply = 16,         ///< Router→host: batch of BP events for a shard.
+  kClusterAck = 17,           ///< Host→router: committed apply tags (chan 0).
+  kClusterQuery = 18,         ///< Router→host: one Select against one shard.
+  kClusterResult = 19,        ///< Host→router: the ResultSet reply.
+  kClusterVersions = 20,      ///< Router→host: table-version stamp request.
+  kClusterVersionsOk = 21,    ///< Host→router: the version vector reply.
+  kClusterReplicate = 22,     ///< Primary→follower: WAL bytes at an offset.
+  kClusterReplicateAck = 23,  ///< Follower→primary: bytes durable through.
+  kClusterPromote = 24,       ///< Router→follower: open shards, serve them.
+  kClusterStats = 25,         ///< Router→host: loader-stats request.
+  kClusterStatsOk = 26,       ///< Host→router: the LoaderStats reply.
 };
 
 /// Human-readable frame-type slug ("publish", "deliver", ...) — the
@@ -170,40 +151,34 @@ enum class DecodeStatus {
 // bus::Message codec (the payload core of kPublish / kDeliver)
 
 /// Wire form: routing_key, body, headers (count + key/value pairs),
-/// published_at, persistent flag, redelivery count. Broker-internal
-/// fields (spool_seq) and process-local trace stamps (steady-clock
-/// seconds, meaningless across hosts) do not travel. With `with_trace`
-/// (connections that negotiated kFeatureTrace) a fixed trace suffix is
-/// appended: trace id (2×u64), span id, flags, and the anchored
+/// published_at, persistent flag, redelivery count, then the trace
+/// suffix: trace id (2×u64), span id, flags, and the anchored
 /// publish/enqueue/spool wall stamps (3×f64) — zeros on untraced
-/// messages, so framing stays deterministic.
-void encode_message(std::string& out, const bus::Message& message,
-                    bool with_trace = false);
-[[nodiscard]] bus::Message decode_message(PayloadReader& reader,
-                                          bool with_trace = false);
+/// messages, so framing stays deterministic. Broker-internal fields
+/// (spool_seq) and process-local trace stamps (steady-clock seconds,
+/// meaningless across hosts) do not travel.
+void encode_message(std::string& out, const bus::Message& message);
+[[nodiscard]] bus::Message decode_message(PayloadReader& reader);
 
 // ---------------------------------------------------------------------------
 // Payload builders + parsers per frame type. Builders return the full
 // encoded frame; parse_* return false on a malformed payload.
 
-/// `features` != 0 appends the capability bitmap.
+/// HELLO: `magic` + kProtocolVersion.
 [[nodiscard]] std::string encode_hello(std::uint32_t channel,
-                                       std::uint32_t features = 0);
-/// Accepts both HELLO forms; `*features` (optional) gets 0 for the
-/// plain form.
-[[nodiscard]] bool parse_hello(const Frame& frame, std::uint16_t* version,
-                               std::uint32_t* features = nullptr);
-
-/// `features` != 0 appends the granted capability bitmap.
-[[nodiscard]] std::string encode_hello_ok(std::uint32_t channel,
-                                          std::uint32_t features = 0);
-/// Accepts both HELLO_OK forms; `*features` gets 0 for the plain form.
-[[nodiscard]] bool parse_hello_ok(const Frame& frame, std::uint16_t* version,
-                                  std::uint32_t* features);
+                                       std::string_view magic);
+/// Server half of the handshake, shared by every server: the reply to a
+/// connection's first frame. HELLO_OK when `frame` is a HELLO carrying
+/// `magic` and kProtocolVersion (`*accepted` true); otherwise a kError
+/// frame naming the mismatch, after which the server closes.
+[[nodiscard]] std::string answer_hello(const Frame& frame,
+                                       std::string_view magic,
+                                       bool* accepted);
+/// HELLO_OK: the server's protocol version.
+[[nodiscard]] bool parse_hello_ok(const Frame& frame, std::uint16_t* version);
 [[nodiscard]] std::string encode_ok(std::uint32_t channel);
 [[nodiscard]] std::string encode_error(std::uint32_t channel,
                                        std::string_view reason);
-[[nodiscard]] std::string encode_empty(std::uint32_t channel);
 [[nodiscard]] std::string encode_heartbeat();
 
 [[nodiscard]] std::string encode_declare_exchange(std::uint32_t channel,
@@ -227,48 +202,14 @@ void encode_message(std::string& out, const bus::Message& message,
                               std::string* exchange,
                               std::string* binding_key);
 
-[[nodiscard]] std::string encode_publish(std::uint32_t channel,
-                                         std::string_view exchange,
-                                         const bus::Message& message,
-                                         bool with_trace = false);
-[[nodiscard]] bool parse_publish(const Frame& frame, std::string* exchange,
-                                 bus::Message* message,
-                                 bool with_trace = false);
-
 [[nodiscard]] std::string encode_consume(std::uint32_t channel,
                                          std::string_view queue);
 [[nodiscard]] bool parse_consume(const Frame& frame, std::string* queue);
 
-[[nodiscard]] std::string encode_get(std::uint32_t channel,
-                                     std::string_view queue,
-                                     std::uint32_t timeout_ms);
-[[nodiscard]] bool parse_get(const Frame& frame, std::string* queue,
-                             std::uint32_t* timeout_ms);
-
-[[nodiscard]] std::string encode_deliver(std::uint32_t channel,
-                                         std::string_view queue,
-                                         const bus::Delivery& delivery,
-                                         bool with_trace = false);
-struct WireDelivery {
-  std::string queue;
-  std::uint64_t delivery_tag = 0;
-  bool redelivered = false;
-  std::string consumer_tag;
-  std::string exchange;
-  bus::Message message;
-};
-[[nodiscard]] bool parse_deliver(const Frame& frame, WireDelivery* out,
-                                 bool with_trace = false);
-
-[[nodiscard]] std::string encode_ack(std::uint32_t channel,
-                                     std::string_view queue,
-                                     std::uint64_t delivery_tag);
 [[nodiscard]] std::string encode_nack(std::uint32_t channel,
                                       std::string_view queue,
                                       std::uint64_t delivery_tag,
                                       bool requeue);
-[[nodiscard]] bool parse_ack(const Frame& frame, std::string* queue,
-                             std::uint64_t* delivery_tag);
 [[nodiscard]] bool parse_nack(const Frame& frame, std::string* queue,
                               std::uint64_t* delivery_tag, bool* requeue);
 
@@ -282,35 +223,38 @@ struct WireDelivery {
                                         bus::QueueStats* stats);
 
 // ---------------------------------------------------------------------------
-// Batch frames (kFeatureBatch). Each payload is `u32 count` followed by
-// count repetitions of the singular frame's payload layout, so the
-// parsers simply loop the singular decoders.
+// Message frames. Each payload is `u32 count` followed by `count`
+// entries, so a lone message travels as a list of one.
 
 struct WirePublish {
   std::string exchange;
   bus::Message message;
 };
-[[nodiscard]] std::string encode_publish_batch(
-    std::uint32_t channel, const std::vector<WirePublish>& entries,
-    bool with_trace = false);
-[[nodiscard]] bool parse_publish_batch(const Frame& frame,
-                                       std::vector<WirePublish>* out,
-                                       bool with_trace = false);
+[[nodiscard]] std::string encode_publish(
+    std::uint32_t channel, const std::vector<WirePublish>& entries);
+[[nodiscard]] bool parse_publish(const Frame& frame,
+                                 std::vector<WirePublish>* out);
 
-[[nodiscard]] std::string encode_deliver_batch(
+struct WireDelivery {
+  std::string queue;
+  std::uint64_t delivery_tag = 0;
+  bool redelivered = false;
+  std::string consumer_tag;
+  std::string exchange;
+  bus::Message message;
+};
+[[nodiscard]] std::string encode_deliver(
     std::uint32_t channel, std::string_view queue,
-    const std::vector<bus::Delivery>& deliveries, bool with_trace = false);
-[[nodiscard]] bool parse_deliver_batch(const Frame& frame,
-                                       std::vector<WireDelivery>* out,
-                                       bool with_trace = false);
+    const std::vector<bus::Delivery>& deliveries);
+[[nodiscard]] bool parse_deliver(const Frame& frame,
+                                 std::vector<WireDelivery>* out);
 
 struct WireAck {
   std::string queue;
   std::uint64_t delivery_tag = 0;
 };
-[[nodiscard]] std::string encode_ack_batch(std::uint32_t channel,
-                                           const std::vector<WireAck>& acks);
-[[nodiscard]] bool parse_ack_batch(const Frame& frame,
-                                   std::vector<WireAck>* out);
+[[nodiscard]] std::string encode_ack(std::uint32_t channel,
+                                     const std::vector<WireAck>& acks);
+[[nodiscard]] bool parse_ack(const Frame& frame, std::vector<WireAck>* out);
 
 }  // namespace stampede::net

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "cluster/shard_map.hpp"
 #include "cluster/wire.hpp"
 #include "common/hash.hpp"
+#include "common/socket.hpp"
 #include "dart/experiment.hpp"
 #include "dashboard/http_server.hpp"
 #include "db/sharded_database.hpp"
@@ -428,7 +430,7 @@ TEST(ClusterLink, ExhaustedRetriesThrowInsteadOfHanging) {
   const auto start = std::chrono::steady_clock::now();
   // Port 1 on localhost: connection refused immediately.
   EXPECT_THROW(
-      net::ClientLink({"127.0.0.1", 1}, net::kFeatureCluster, options),
+      net::ClientLink({"127.0.0.1", 1}, net::kClusterMagic, options),
       net::LinkError);
   const auto elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
@@ -690,7 +692,7 @@ TEST(ClusterFailover, MidFileReplicaCorruptionRefusesPromotion) {
   cluster::ShardHost follower{fo};
   follower.start();
 
-  net::ClientLink link{{"127.0.0.1", follower.port()}, net::kFeatureCluster};
+  net::ClientLink link{{"127.0.0.1", follower.port()}, net::kClusterMagic};
   link.start([](const net::Frame&) {}, [] {});
   // Corruption in the *middle* of the replicated WAL — not a torn tail,
   // so promotion must refuse rather than silently drop committed data.
@@ -707,6 +709,124 @@ TEST(ClusterFailover, MidFileReplicaCorruptionRefusesPromotion) {
   EXPECT_FALSE(follower.promoted());
   link.close();
   follower.stop();
+}
+
+TEST(ClusterFailover, FollowerAcksOnlyReplicatedBytesItStored) {
+  // Acks the follower sends for `bytes` replicated at offset 0 to a
+  // fresh follower whose WAL base is `wal_base`.
+  const auto replicate_ack = [](const std::filesystem::path& wal_base) {
+    cluster::ShardHostOptions fo;
+    fo.wal_base = wal_base.string();
+    fo.total_shards = 1;
+    fo.follower = true;
+    cluster::ShardHost follower{fo};
+    follower.start();
+    std::promise<std::uint64_t> acked;
+    net::ClientLink link{{"127.0.0.1", follower.port()}, net::kClusterMagic};
+    link.start(
+        [&](const net::Frame& frame) {
+          std::uint32_t shard = 0;
+          std::uint64_t offset = 0;
+          if (frame.type == net::FrameType::kClusterReplicateAck &&
+              cluster::parse_cluster_replicate_ack(frame, &shard, &offset)) {
+            acked.set_value(offset);
+          }
+        },
+        [] {});
+    EXPECT_TRUE(link.send(cluster::encode_cluster_replicate(0, 0, "abc")));
+    auto future = acked.get_future();
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    const std::uint64_t offset = future.get();
+    link.close();
+    follower.stop();
+    return offset;
+  };
+  const auto dir = fresh_dir("stampede_test_cluster_follower_ack");
+  EXPECT_EQ(replicate_ack(dir / "replica.db"), 3u);
+  // The WAL cannot be opened: nothing is stored, so nothing is acked.
+  EXPECT_EQ(replicate_ack(dir / "missing" / "replica.db"), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Handshake: a shard host serves only the cluster magic at this version
+
+namespace {
+
+/// Sends one HELLO with `payload` to a shard host on `port`; returns
+/// the reply frame type and whether the host then closed.
+net::FrameType hello_reply(int port, const std::string& payload,
+                           bool* closed) {
+  namespace common = stampede::common;
+  auto fd = common::connect_tcp("127.0.0.1", port);
+  const auto hello =
+      net::encode_frame(net::Frame{net::FrameType::kHello, 1, payload});
+  if (!fd.valid() || !common::send_all(fd.get(), hello.data(), hello.size())) {
+    return net::FrameType::kHeartbeat;
+  }
+  std::string buffer;
+  char chunk[256];
+  net::Frame reply;
+  for (;;) {
+    std::size_t consumed = 0;
+    if (net::decode_frame(buffer, consumed, reply) ==
+        net::DecodeStatus::kFrame) {
+      buffer.erase(0, consumed);
+      break;
+    }
+    std::size_t got = 0;
+    if (common::recv_some(fd.get(), chunk, sizeof chunk, 5000, &got) !=
+        common::RecvStatus::kData) {
+      return net::FrameType::kHeartbeat;
+    }
+    buffer.append(chunk, got);
+  }
+  std::size_t got = 0;
+  *closed = buffer.empty() &&
+            common::recv_some(fd.get(), chunk, sizeof chunk, 5000, &got) ==
+                common::RecvStatus::kClosed;
+  return reply.type;
+}
+
+}  // namespace
+
+TEST(ClusterHandshake, BusMagicIsRefusedByShardHost) {
+  const auto dir = fresh_dir("stampede_test_cluster_bus_magic");
+  cluster::ShardHostOptions options;
+  options.wal_base = (dir / "host.db").string();
+  options.follower = true;
+  cluster::ShardHost host{options};
+  host.start();
+  net::ClientLinkOptions link_options;
+  link_options.request_timeout_ms = 2000;
+  EXPECT_THROW(net::ClientLink({"127.0.0.1", host.port()}, net::kBusMagic,
+                               link_options),
+               net::LinkError);
+  host.stop();
+}
+
+TEST(ClusterHandshake, VersionOneHelloIsRefusedAndClosed) {
+  const auto dir = fresh_dir("stampede_test_cluster_v1_hello");
+  cluster::ShardHostOptions options;
+  options.wal_base = (dir / "host.db").string();
+  options.follower = true;
+  cluster::ShardHost host{options};
+  host.start();
+  // A version-1 cluster link sent the bus magic, version 1 and its
+  // feature bitmap; a plain version-1 HELLO under today's magic is
+  // refused as well.
+  std::string v1_link{net::kBusMagic};
+  net::put_u16(v1_link, 1);
+  net::put_u32(v1_link, 7);
+  std::string v1_cluster{net::kClusterMagic};
+  net::put_u16(v1_cluster, 1);
+  for (const auto& payload : {v1_link, v1_cluster}) {
+    bool closed = false;
+    EXPECT_EQ(hello_reply(host.port(), payload, &closed),
+              net::FrameType::kError);
+    EXPECT_TRUE(closed);
+  }
+  host.stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -60,17 +60,27 @@ net::BusClientOptions client_options(int port) {
 // Frame codec
 
 TEST(NetFrame, HandshakeAndControlFramesRoundTrip) {
-  const auto hello = decode_one(net::encode_hello(7));
+  const auto hello = decode_one(net::encode_hello(7, net::kBusMagic));
   EXPECT_EQ(hello.type, net::FrameType::kHello);
   EXPECT_EQ(hello.channel, 7u);
+
+  bool accepted = false;
+  const auto ok = decode_one(net::answer_hello(hello, net::kBusMagic,
+                                               &accepted));
+  EXPECT_TRUE(accepted);
+  EXPECT_EQ(ok.type, net::FrameType::kHelloOk);
+  EXPECT_EQ(ok.channel, 7u);
   std::uint16_t version = 0;
-  ASSERT_TRUE(net::parse_hello(hello, &version));
+  ASSERT_TRUE(net::parse_hello_ok(ok, &version));
   EXPECT_EQ(version, net::kProtocolVersion);
 
-  EXPECT_EQ(decode_one(net::encode_hello_ok(7)).type,
-            net::FrameType::kHelloOk);
+  // Another service's magic is answered with an error.
+  const auto refused = decode_one(net::answer_hello(hello, net::kClusterMagic,
+                                                    &accepted));
+  EXPECT_FALSE(accepted);
+  EXPECT_EQ(refused.type, net::FrameType::kError);
+
   EXPECT_EQ(decode_one(net::encode_ok(3)).channel, 3u);
-  EXPECT_EQ(decode_one(net::encode_empty(9)).type, net::FrameType::kEmpty);
   EXPECT_EQ(decode_one(net::encode_heartbeat()).type,
             net::FrameType::kHeartbeat);
 }
@@ -84,19 +94,32 @@ TEST(NetFrame, PublishRoundTripsEveryMessageField) {
   message.published_at = 1339840800.25;
   message.persistent = true;
   message.redeliveries = 3;
+  message.trace_ctx.trace_hi = 0x0123456789abcdefULL;
+  message.trace_ctx.trace_lo = 0xfedcba9876543210ULL;
+  message.trace_ctx.span_id = 42;
+  message.trace_ctx.flags = 1;
+  message.trace_published_wall = 1339840800.5;
+  message.trace_enqueued_wall = 1339840800.75;
+  message.trace_spooled_wall = 1339840801.0;
 
-  const auto frame = decode_one(net::encode_publish(11, "monitoring", message));
+  const auto frame =
+      decode_one(net::encode_publish(11, {{"monitoring", message}}));
   EXPECT_EQ(frame.type, net::FrameType::kPublish);
-  std::string exchange;
-  bus::Message out;
-  ASSERT_TRUE(net::parse_publish(frame, &exchange, &out));
-  EXPECT_EQ(exchange, "monitoring");
+  std::vector<net::WirePublish> entries;
+  ASSERT_TRUE(net::parse_publish(frame, &entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].exchange, "monitoring");
+  const bus::Message& out = entries[0].message;
   EXPECT_EQ(out.routing_key, message.routing_key);
   EXPECT_EQ(out.body, message.body);
   EXPECT_EQ(out.headers, message.headers);
   EXPECT_EQ(out.published_at, message.published_at);
   EXPECT_EQ(out.persistent, message.persistent);
   EXPECT_EQ(out.redeliveries, message.redeliveries);
+  EXPECT_EQ(out.trace_ctx, message.trace_ctx);
+  EXPECT_EQ(out.trace_published_wall, message.trace_published_wall);
+  EXPECT_EQ(out.trace_enqueued_wall, message.trace_enqueued_wall);
+  EXPECT_EQ(out.trace_spooled_wall, message.trace_spooled_wall);
 }
 
 // Property test: headers and bodies are length-prefixed raw bytes, so
@@ -128,11 +151,11 @@ TEST(NetFrame, PropertyArbitraryBytesRoundTrip) {
     message.published_at = static_cast<double>(rng.uniform_int(0, 1 << 30));
     message.persistent = (iter % 2) == 0;
 
-    const auto frame =
-        decode_one(net::encode_publish(iter, "ex", message));
-    std::string exchange;
-    bus::Message out;
-    ASSERT_TRUE(net::parse_publish(frame, &exchange, &out));
+    const auto frame = decode_one(net::encode_publish(iter, {{"ex", message}}));
+    std::vector<net::WirePublish> entries;
+    ASSERT_TRUE(net::parse_publish(frame, &entries));
+    ASSERT_EQ(entries.size(), 1u);
+    const bus::Message& out = entries[0].message;
     ASSERT_EQ(out.routing_key, message.routing_key);
     ASSERT_EQ(out.body, message.body);
     ASSERT_EQ(out.headers, message.headers);
@@ -140,7 +163,7 @@ TEST(NetFrame, PropertyArbitraryBytesRoundTrip) {
 }
 
 TEST(NetFrame, DecoderHandlesPartialOversizeAndCorruptInput) {
-  const auto bytes = net::encode_publish(1, "ex", bus::Message{});
+  const auto bytes = net::encode_publish(1, {{"ex", bus::Message{}}});
   // Every proper prefix is "need more", never an error.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     net::Frame frame;
@@ -165,13 +188,17 @@ TEST(NetFrame, DecoderHandlesPartialOversizeAndCorruptInput) {
             net::DecodeStatus::kError);
   EXPECT_FALSE(error.empty());
 
-  // An unknown frame type too.
-  std::string bad_type;
-  net::put_u32(bad_type, 5);
-  net::put_u8(bad_type, 99);
-  net::put_u32(bad_type, 0);
-  EXPECT_EQ(net::decode_frame(bad_type, consumed, frame),
-            net::DecodeStatus::kError);
+  // An unknown frame type too, on either side of the contiguous range.
+  const auto last = static_cast<int>(net::FrameType::kClusterStatsOk);
+  for (const int type : {0, last + 1, 99}) {
+    std::string bad_type;
+    net::put_u32(bad_type, 5);
+    net::put_u8(bad_type, static_cast<std::uint8_t>(type));
+    net::put_u32(bad_type, 0);
+    EXPECT_EQ(net::decode_frame(bad_type, consumed, frame),
+              net::DecodeStatus::kError)
+        << "type " << type;
+  }
 
   // A truncated string inside a payload fails the parse, not the frame
   // decoder.

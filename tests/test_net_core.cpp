@@ -2,10 +2,11 @@
 // task/timer dispatch, Connection frame reassembly under torn and
 // byte-at-a-time delivery, oversize-frame rejection, the slow-consumer
 // backpressure chain (bounded outbound buffer → blocked producer → TCP
-// pushback), batch-frame codec round-trips, a many-connection soak
-// (≥512 concurrent publishers against one BusServer), and the client
-// side's ClientLink (channel-correlated requests, loss reporting,
-// feature refusal) against a scripted raw peer.
+// pushback), message-list codec round-trips, a many-connection soak
+// (≥512 concurrent publishers against one BusServer), the handshake's
+// refusal of another service's magic or a stale protocol version, and
+// the client side's ClientLink (channel-correlated requests, loss
+// reporting) against a scripted raw peer.
 
 #include <gtest/gtest.h>
 
@@ -127,10 +128,10 @@ bus::Message make_message(const std::string& key, const std::string& body) {
   return message;
 }
 
-/// Plain (v1) client handshake over a blocking socket: HELLO out,
-/// HELLO_OK back. Returns false on any transport or protocol error.
+/// Bus client handshake over a blocking socket: HELLO out, HELLO_OK
+/// back. Returns false on any transport or protocol error.
 bool plain_handshake(int fd) {
-  const auto hello = net::encode_hello(/*channel=*/1);
+  const auto hello = net::encode_hello(/*channel=*/1, net::kBusMagic);
   if (!common::send_all(fd, hello.data(), hello.size())) return false;
   std::string buffer;
   char chunk[256];
@@ -175,21 +176,23 @@ bool read_frame(int fd, std::string& carry, net::Frame* out) {
 }
 
 /// A scripted raw peer for ClientLink: accepts one connection, answers
-/// its HELLO granting `granted`, runs `script` on the socket, then
-/// hangs up.
+/// its bus HELLO, runs `script` on the socket, then hangs up.
 class FakePeer {
  public:
   using Script = std::function<void(int fd, std::string& carry)>;
 
-  FakePeer(std::uint32_t granted, Script script) {
+  explicit FakePeer(Script script) {
     listener_ = common::listen_tcp("127.0.0.1", 0, /*backlog=*/4, &port_);
-    thread_ = std::thread([this, granted, script = std::move(script)] {
+    thread_ = std::thread([this, script = std::move(script)] {
       auto fd = common::accept_client(listener_.get(), /*timeout_ms=*/5000);
       std::string carry;
       net::Frame hello;
       if (!fd.valid() || !read_frame(fd.get(), carry, &hello)) return;
-      const auto ok = net::encode_hello_ok(hello.channel, granted);
-      if (!common::send_all(fd.get(), ok.data(), ok.size())) return;
+      bool accepted = false;
+      const auto ok = net::answer_hello(hello, net::kBusMagic, &accepted);
+      if (!accepted || !common::send_all(fd.get(), ok.data(), ok.size())) {
+        return;
+      }
       script(fd.get(), carry);
     });
   }
@@ -380,7 +383,7 @@ TEST(Connection, ReassemblesFrameDeliveredByteAtATime) {
   });
 
   const auto wire = net::encode_publish(
-      /*channel=*/0, "ex", make_message("rk", "byte-at-a-time body"));
+      /*channel=*/0, {{"ex", make_message("rk", "byte-at-a-time body")}});
   ASSERT_GT(wire.size(), 16u);
   // Trickle everything but the last byte: no decoder can produce a frame
   // from a strict prefix, so the count must still be zero.
@@ -395,17 +398,17 @@ TEST(Connection, ReassemblesFrameDeliveredByteAtATime) {
       common::send_all(pair.client.get(), wire.data() + wire.size() - 1, 1));
   ASSERT_TRUE(sink.wait_count(1, 2000ms));
 
-  std::string exchange;
-  bus::Message message;
+  std::vector<net::WirePublish> entries;
   {
     const std::lock_guard<std::mutex> lock(sink.mutex);
     ASSERT_EQ(sink.frames.size(), 1u);
     EXPECT_EQ(sink.frames[0].type, net::FrameType::kPublish);
-    ASSERT_TRUE(net::parse_publish(sink.frames[0], &exchange, &message));
+    ASSERT_TRUE(net::parse_publish(sink.frames[0], &entries));
   }
-  EXPECT_EQ(exchange, "ex");
-  EXPECT_EQ(message.routing_key, "rk");
-  EXPECT_EQ(message.body, "byte-at-a-time body");
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].exchange, "ex");
+  EXPECT_EQ(entries[0].message.routing_key, "rk");
+  EXPECT_EQ(entries[0].message.body, "byte-at-a-time body");
 
   conn->close();
   loop.stop();
@@ -423,8 +426,9 @@ TEST(Connection, ReassemblesFramesTornAcrossWrites) {
     conn->start(sink.data_handler(conn), [&] { sink.closed.store(true); });
   });
 
-  const auto first = net::encode_publish(0, "ex", make_message("a", "one"));
-  const auto second = net::encode_publish(0, "ex", make_message("b", "two"));
+  const auto first = net::encode_publish(0, {{"ex", make_message("a", "one")}});
+  const auto second =
+      net::encode_publish(0, {{"ex", make_message("b", "two")}});
   const std::string wire = first + second;
 
   // Chunk 1 ends mid-way through the second frame: exactly one frame
@@ -441,12 +445,13 @@ TEST(Connection, ReassemblesFramesTornAcrossWrites) {
 
   const std::lock_guard<std::mutex> lock(sink.mutex);
   ASSERT_EQ(sink.frames.size(), 2u);
-  std::string exchange;
-  bus::Message message;
-  ASSERT_TRUE(net::parse_publish(sink.frames[0], &exchange, &message));
-  EXPECT_EQ(message.body, "one");
-  ASSERT_TRUE(net::parse_publish(sink.frames[1], &exchange, &message));
-  EXPECT_EQ(message.body, "two");
+  std::vector<net::WirePublish> entries;
+  ASSERT_TRUE(net::parse_publish(sink.frames[0], &entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].message.body, "one");
+  ASSERT_TRUE(net::parse_publish(sink.frames[1], &entries));
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].message.body, "two");
 
   conn->close();
   loop.stop();
@@ -715,26 +720,26 @@ TEST(Connection, CrossThreadCloseAfterFlushDeliversThenCloses) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch frame codec (kFeatureBatch)
+// Message-list codec (PUBLISH / DELIVER / ACK)
 
-TEST(BatchCodec, PublishBatchRoundTrips) {
+TEST(ListCodec, PublishRoundTrips) {
   std::vector<net::WirePublish> entries;
   for (int i = 0; i < 5; ++i) {
     entries.push_back(net::WirePublish{
         "ex" + std::to_string(i),
         make_message("key" + std::to_string(i), std::string(i * 7, 'b'))});
   }
-  const auto wire = net::encode_publish_batch(0, entries, /*with_trace=*/true);
+  const auto wire = net::encode_publish(0, entries);
 
   net::Frame frame;
   std::size_t consumed = 0;
   ASSERT_EQ(net::decode_frame(wire, consumed, frame),
             net::DecodeStatus::kFrame);
   EXPECT_EQ(consumed, wire.size());
-  EXPECT_EQ(frame.type, net::FrameType::kPublishBatch);
+  EXPECT_EQ(frame.type, net::FrameType::kPublish);
 
   std::vector<net::WirePublish> decoded;
-  ASSERT_TRUE(net::parse_publish_batch(frame, &decoded, /*with_trace=*/true));
+  ASSERT_TRUE(net::parse_publish(frame, &decoded));
   ASSERT_EQ(decoded.size(), entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(decoded[i].exchange, entries[i].exchange);
@@ -743,7 +748,7 @@ TEST(BatchCodec, PublishBatchRoundTrips) {
   }
 }
 
-TEST(BatchCodec, DeliverBatchRoundTrips) {
+TEST(ListCodec, DeliverRoundTrips) {
   std::vector<bus::Delivery> deliveries;
   for (int i = 0; i < 4; ++i) {
     deliveries.push_back(bus::Delivery::make(
@@ -751,16 +756,16 @@ TEST(BatchCodec, DeliverBatchRoundTrips) {
         /*redelivered=*/(i % 2) == 1,
         make_message("rk", "payload" + std::to_string(i))));
   }
-  const auto wire = net::encode_deliver_batch(0, "q", deliveries);
+  const auto wire = net::encode_deliver(0, "q", deliveries);
 
   net::Frame frame;
   std::size_t consumed = 0;
   ASSERT_EQ(net::decode_frame(wire, consumed, frame),
             net::DecodeStatus::kFrame);
-  EXPECT_EQ(frame.type, net::FrameType::kDeliverBatch);
+  EXPECT_EQ(frame.type, net::FrameType::kDeliver);
 
   std::vector<net::WireDelivery> decoded;
-  ASSERT_TRUE(net::parse_deliver_batch(frame, &decoded));
+  ASSERT_TRUE(net::parse_deliver(frame, &decoded));
   ASSERT_EQ(decoded.size(), deliveries.size());
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     EXPECT_EQ(decoded[i].queue, "q");
@@ -770,23 +775,23 @@ TEST(BatchCodec, DeliverBatchRoundTrips) {
   }
 }
 
-TEST(BatchCodec, AckBatchRoundTripsAndRejectsTruncation) {
+TEST(ListCodec, AckRoundTripsAndRejectsTruncation) {
   std::vector<net::WireAck> acks;
   for (int i = 0; i < 8; ++i) {
     acks.push_back(net::WireAck{"q" + std::to_string(i % 2),
                                 static_cast<std::uint64_t>(i) << 40});
   }
-  const auto wire = net::encode_ack_batch(7, acks);
+  const auto wire = net::encode_ack(7, acks);
 
   net::Frame frame;
   std::size_t consumed = 0;
   ASSERT_EQ(net::decode_frame(wire, consumed, frame),
             net::DecodeStatus::kFrame);
-  EXPECT_EQ(frame.type, net::FrameType::kAckBatch);
+  EXPECT_EQ(frame.type, net::FrameType::kAck);
   EXPECT_EQ(frame.channel, 7u);
 
   std::vector<net::WireAck> decoded;
-  ASSERT_TRUE(net::parse_ack_batch(frame, &decoded));
+  ASSERT_TRUE(net::parse_ack(frame, &decoded));
   ASSERT_EQ(decoded.size(), acks.size());
   for (std::size_t i = 0; i < acks.size(); ++i) {
     EXPECT_EQ(decoded[i].queue, acks[i].queue);
@@ -797,7 +802,7 @@ TEST(BatchCodec, AckBatchRoundTripsAndRejectsTruncation) {
   net::Frame truncated = frame;
   truncated.payload.resize(truncated.payload.size() / 2);
   std::vector<net::WireAck> rejected;
-  EXPECT_FALSE(net::parse_ack_batch(truncated, &rejected));
+  EXPECT_FALSE(net::parse_ack(truncated, &rejected));
 }
 
 // ---------------------------------------------------------------------------
@@ -855,7 +860,7 @@ TEST(BusServerSoak, FiveHundredTwelveConcurrentPublishers) {
       threads.emplace_back([&, t] {
         for (std::size_t i = t; i < kConnections; i += kThreads) {
           const auto wire = net::encode_publish(
-              0, "soak.ex", make_message("k", "m" + std::to_string(i)));
+              0, {{"soak.ex", make_message("k", "m" + std::to_string(i))}});
           if (!common::send_all(sockets[i].get(), wire.data(),
                                 wire.size())) {
             publish_failures.fetch_add(1);
@@ -883,7 +888,7 @@ TEST(BusServerSoak, FiveHundredTwelveConcurrentPublishers) {
 
 TEST(ClientLink, OverlappingRequestsEachGetTheirOwnChannelsReply) {
   constexpr std::size_t kRequests = 8;
-  FakePeer peer{net::kSupportedFeatures, [](int fd, std::string& carry) {
+  FakePeer peer{[](int fd, std::string& carry) {
     // Answer only once every request is in, in reverse order, so each
     // reply reaches its caller through channel correlation alone.
     std::vector<net::Frame> requests;
@@ -897,7 +902,7 @@ TEST(ClientLink, OverlappingRequestsEachGetTheirOwnChannelsReply) {
     while (read_frame(fd, carry, &ignored)) {
     }
   }};
-  net::ClientLink link{{"127.0.0.1", peer.port()}, 0};
+  net::ClientLink link{{"127.0.0.1", peer.port()}, net::kBusMagic};
   link.start([](const net::Frame&) {}, [] {});
 
   std::atomic<std::size_t> matched{0};
@@ -921,7 +926,7 @@ TEST(ClientLink, OverlappingRequestsEachGetTheirOwnChannelsReply) {
 
 TEST(ClientLink, PeerHangupFailsEveryPendingRequestAndFiresDownOnce) {
   constexpr std::size_t kRequests = 4;
-  FakePeer peer{0, [](int fd, std::string& carry) {
+  FakePeer peer{[](int fd, std::string& carry) {
     // Take every request, answer none, hang up.
     std::vector<net::Frame> requests;
     (void)read_requests(fd, carry, kRequests, &requests);
@@ -929,7 +934,7 @@ TEST(ClientLink, PeerHangupFailsEveryPendingRequestAndFiresDownOnce) {
   std::atomic<int> downs{0};
   std::atomic<std::size_t> failed{0};
   {
-    net::ClientLink link{{"127.0.0.1", peer.port()}, 0};
+    net::ClientLink link{{"127.0.0.1", peer.port()}, net::kBusMagic};
     link.start([](const net::Frame&) {}, [&] { downs.fetch_add(1); });
     std::vector<std::thread> callers;
     for (std::size_t i = 0; i < kRequests; ++i) {
@@ -952,12 +957,43 @@ TEST(ClientLink, PeerHangupFailsEveryPendingRequestAndFiresDownOnce) {
   EXPECT_EQ(downs.load(), 1);
 }
 
-TEST(ClientLink, PeerWithoutRequiredFeatureIsRefused) {
-  FakePeer peer{net::kFeatureTrace | net::kFeatureBatch,
-                [](int, std::string&) {}};
+TEST(ClientLink, ClusterMagicIsRefusedByBusServer) {
+  bus::Broker broker;
+  net::BusServer server{broker};
+  server.start();
   net::ClientLinkOptions options;
   options.request_timeout_ms = 2000;
-  EXPECT_THROW(net::ClientLink({"127.0.0.1", peer.port()},
-                               net::kFeatureCluster, options),
+  EXPECT_THROW(net::ClientLink({"127.0.0.1", server.port()},
+                               net::kClusterMagic, options),
                net::LinkError);
+  server.stop();
+}
+
+TEST(BusServerHandshake, VersionOneHelloIsRefusedAndClosed) {
+  bus::Broker broker;
+  net::BusServer server{broker};
+  server.start();
+  // What version-1 clients sent: magic + version 1, with and without
+  // the feature bitmap.
+  std::string plain{net::kBusMagic};
+  net::put_u16(plain, 1);
+  std::string with_features = plain;
+  net::put_u32(with_features, 7);
+  for (const auto& payload : {plain, with_features}) {
+    auto fd = common::connect_tcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.valid());
+    const auto hello =
+        net::encode_frame(net::Frame{net::FrameType::kHello, 1, payload});
+    ASSERT_TRUE(common::send_all(fd.get(), hello.data(), hello.size()));
+    std::string carry;
+    net::Frame reply;
+    ASSERT_TRUE(read_frame(fd.get(), carry, &reply));
+    EXPECT_EQ(reply.type, net::FrameType::kError);
+    // The server hangs up after the error.
+    char chunk[64];
+    std::size_t got = 0;
+    EXPECT_EQ(common::recv_some(fd.get(), chunk, sizeof chunk, 5000, &got),
+              common::RecvStatus::kClosed);
+  }
+  server.stop();
 }

@@ -1,10 +1,10 @@
 // Tests for distributed tracing (DESIGN.md §11): traceparent codec,
 // head-based sampling, always-recorded error spans, trace survival
-// across broker restart + spool replay and nack redelivery, HELLO
-// feature negotiation (frame level and end-to-end over TCP), waterfall
-// reconstruction at the loader's commit hook, the self-amplification
-// guard, the /tracez + /trace/{id} + /healthz + /readyz endpoints, and
-// the Prometheus exposition of a stampede histogram.
+// across broker restart + spool replay and nack redelivery, context
+// propagation over TCP, waterfall reconstruction at the loader's commit
+// hook, the self-amplification guard, the /tracez + /trace/{id} +
+// /healthz + /readyz endpoints, and the Prometheus exposition of a
+// stampede histogram.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +15,12 @@
 
 #include "bus/bp_publisher.hpp"
 #include "bus/broker.hpp"
-#include "common/socket.hpp"
 #include "dashboard/http_server.hpp"
 #include "dashboard/trace_routes.hpp"
 #include "loader/nl_load.hpp"
 #include "loader/stampede_loader.hpp"
 #include "net/bus_client.hpp"
 #include "net/bus_server.hpp"
-#include "net/frame.hpp"
 #include "netlogger/events.hpp"
 #include "orm/stampede_tables.hpp"
 #include "query/query_executor.hpp"
@@ -97,15 +95,6 @@ bus::Message traced_msg(std::string key, std::string body,
     m.headers["traceparent"] = m.trace_ctx.to_traceparent();
   }
   return m;
-}
-
-net::Frame decode_one(const std::string& bytes) {
-  net::Frame frame;
-  std::size_t consumed = 0;
-  const auto status = net::decode_frame(bytes, consumed, frame);
-  EXPECT_EQ(status, net::DecodeStatus::kFrame);
-  EXPECT_EQ(consumed, bytes.size());
-  return frame;
 }
 
 net::BusClientOptions client_options(int port) {
@@ -282,71 +271,6 @@ TEST(Tracing, NackRequeueRedeliversWithTheSameTraceId) {
   EXPECT_EQ(second->message().trace_ctx, published_ctx);
   EXPECT_EQ(second->message().redeliveries, 1u);
   broker.ack("q", second->delivery_tag);
-}
-
-// ---------------------------------------------------------------------------
-// HELLO feature negotiation
-
-TEST(NetTrace, HelloCarriesAndOmitsTheFeatureBitmap) {
-  // Feature-extended HELLO round-trips the bitmap.
-  const auto extended = decode_one(net::encode_hello(7, net::kFeatureTrace));
-  EXPECT_EQ(extended.type, net::FrameType::kHello);
-  std::uint16_t version = 0;
-  std::uint32_t features = 0;
-  ASSERT_TRUE(net::parse_hello(extended, &version, &features));
-  EXPECT_EQ(version, net::kProtocolVersion);
-  EXPECT_EQ(features, net::kFeatureTrace);
-
-  // Plain HELLO (a v1 peer) parses with features 0.
-  features = 0xff;
-  ASSERT_TRUE(net::parse_hello(decode_one(net::encode_hello(7)), &version,
-                               &features));
-  EXPECT_EQ(features, 0u);
-
-  // Same shape for HELLO_OK.
-  ASSERT_TRUE(net::parse_hello_ok(
-      decode_one(net::encode_hello_ok(7, net::kFeatureTrace)), &version,
-      &features));
-  EXPECT_EQ(features, net::kFeatureTrace);
-  ASSERT_TRUE(net::parse_hello_ok(decode_one(net::encode_hello_ok(7)),
-                                  &version, &features));
-  EXPECT_EQ(features, 0u);
-}
-
-TEST(NetTrace, ClientsNegotiateTraceOnlyWhenTheyOfferIt) {
-  bus::Broker broker;
-  net::BusServer server{broker};
-  server.start();
-
-  net::BusClient with{client_options(server.port())};
-  ASSERT_TRUE(with.wait_connected(5000));
-  EXPECT_TRUE(with.trace_negotiated());
-
-  // A peer sending the plain HELLO (no feature bitmap) is granted none.
-  auto without = stampede::common::connect_tcp("127.0.0.1", server.port());
-  ASSERT_TRUE(without.valid());
-  const auto hello = net::encode_hello(1);
-  ASSERT_TRUE(
-      stampede::common::send_all(without.get(), hello.data(), hello.size()));
-  std::string buffer;
-  net::Frame reply;
-  for (;;) {
-    char chunk[256];
-    std::size_t received = 0;
-    ASSERT_EQ(stampede::common::recv_some(without.get(), chunk, sizeof chunk,
-                                          5000, &received),
-              stampede::common::RecvStatus::kData);
-    buffer.append(chunk, received);
-    std::size_t consumed = 0;
-    const auto status = net::decode_frame(buffer, consumed, reply);
-    ASSERT_NE(status, net::DecodeStatus::kError);
-    if (status == net::DecodeStatus::kFrame) break;
-  }
-  ASSERT_EQ(reply.type, net::FrameType::kHelloOk);
-  std::uint16_t version = 0;
-  std::uint32_t features = ~0u;
-  ASSERT_TRUE(net::parse_hello_ok(reply, &version, &features));
-  EXPECT_EQ(features, 0u);
 }
 
 TEST(NetTrace, ContextPropagatesAcrossTcp) {
