@@ -2,8 +2,10 @@
 // publish→deliver→ack round-trip latency over loopback TCP and
 // sustained throughput with 1 and 4 consumer connections
 // (BENCH_net_throughput.json), a connection-count sweep of raw-socket
-// publishers against the epoll reactor (BENCH_net_connections.json),
-// and frame-codec micro benches.
+// publishers against the epoll reactor (BENCH_net_connections.json:
+// five trials per point, median/min/max of the publish rate and of the
+// connect+handshake burst the server's acceptor carries), and
+// frame-codec micro benches.
 
 #include <benchmark/benchmark.h>
 
@@ -187,11 +189,18 @@ bool plain_handshake(int fd) {
   return false;
 }
 
+/// One sweep trial; both fields are 0 when the trial failed.
+struct SweepTrial {
+  double msgs_per_second = 0.0;  ///< Broker ingest rate.
+  double setup_s = 0.0;          ///< Connect + handshake of every socket.
+};
+
 /// Opens `connections` raw publisher sockets against a fresh
 /// BusServer, fans `total` publishes across all of them from a few
 /// sender threads (each thread owns many sockets — the reactor is what
-/// scales, not the bench), and returns broker-ingest msgs/s.
-double measure_connection_sweep(std::size_t connections, std::size_t total) {
+/// scales, not the bench), and measures broker-ingest msgs/s.
+SweepTrial measure_connection_sweep(std::size_t connections,
+                                    std::size_t total) {
   namespace common = stampede::common;
   bus::Broker broker;
   // Drop-head cap: the sweep has no consumer, so an unbounded queue
@@ -210,6 +219,7 @@ double measure_connection_sweep(std::size_t connections, std::size_t total) {
       std::min<std::size_t>(4, std::max<std::size_t>(1, connections));
   std::vector<common::SocketFd> sockets(connections);
   std::atomic<bool> setup_failed{false};
+  const auto setup_start = Clock::now();
   {
     std::vector<std::jthread> connectors;
     for (std::size_t t = 0; t < threads; ++t) {
@@ -225,7 +235,9 @@ double measure_connection_sweep(std::size_t connections, std::size_t total) {
       });
     }
   }
-  if (setup_failed.load()) return 0.0;
+  if (setup_failed.load()) return {};
+  const double setup_s =
+      std::chrono::duration<double>(Clock::now() - setup_start).count();
 
   // Every sweep point pushes the same total so the measurement windows
   // (and the broker queue depths they build) are comparable.
@@ -273,26 +285,71 @@ double measure_connection_sweep(std::size_t connections, std::size_t total) {
          Clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (broker.queue_stats("sweep").enqueued < expected) return 0.0;
+  if (broker.queue_stats("sweep").enqueued < expected) return {};
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   sockets.clear();
   server.stop();
-  return seconds > 0 ? static_cast<double>(expected) / seconds : 0.0;
+  if (seconds <= 0) return {};
+  return {static_cast<double>(expected) / seconds, setup_s};
+}
+
+/// Median, min and max of a trial series.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread_of(std::vector<double> values) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  const double median = n % 2 == 1
+                            ? values[n / 2]
+                            : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+  return {median, values.front(), values.back()};
+}
+
+void print_spread(std::FILE* out, const char* name, const Spread& s,
+                  const char* format) {
+  std::fprintf(out, "\"%s\": {\"median\": ", name);
+  std::fprintf(out, format, s.median);
+  std::fprintf(out, ", \"min\": ");
+  std::fprintf(out, format, s.min);
+  std::fprintf(out, ", \"max\": ");
+  std::fprintf(out, format, s.max);
+  std::fprintf(out, "}");
 }
 
 void emit_connection_sweep_json() {
   // 256 messages per connection at the widest point (4096), so even
   // there every socket carries a sustained multi-burst stream.
   constexpr std::size_t kTotal = 4096 * 256;
+  constexpr std::size_t kTrials = 5;
   const std::size_t sweep[] = {1, 16, 256, 1024, 4096};
-  double rates[std::size(sweep)] = {};
+  Spread rates[std::size(sweep)];
+  Spread setups[std::size(sweep)];
+  std::size_t failed = 0;
   for (std::size_t i = 0; i < std::size(sweep); ++i) {
-    rates[i] = measure_connection_sweep(sweep[i], kTotal);
-    std::printf("  %4zu connections: %.0f msg/s\n", sweep[i], rates[i]);
+    std::vector<double> rate;
+    std::vector<double> setup;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      const SweepTrial trial = measure_connection_sweep(sweep[i], kTotal);
+      if (trial.msgs_per_second == 0.0) ++failed;
+      rate.push_back(trial.msgs_per_second);
+      setup.push_back(trial.setup_s);
+    }
+    rates[i] = spread_of(std::move(rate));
+    setups[i] = spread_of(std::move(setup));
+    std::printf("  %4zu connections: %.0f msg/s [%.0f, %.0f], "
+                "setup %.1f ms [%.1f, %.1f]\n",
+                sweep[i], rates[i].median, rates[i].min, rates[i].max,
+                setups[i].median * 1e3, setups[i].min * 1e3,
+                setups[i].max * 1e3);
   }
-  const double baseline16 = rates[1];
-  const double ratio4k = baseline16 > 0 ? rates[4] / baseline16 : 0.0;
+  const double baseline16 = rates[1].median;
+  const double ratio4k = baseline16 > 0 ? rates[4].median / baseline16 : 0.0;
 
   std::FILE* out = std::fopen("BENCH_net_connections.json", "w");
   if (out == nullptr) return;
@@ -301,14 +358,19 @@ void emit_connection_sweep_json() {
                "  \"transport\": \"loopback TCP, raw-socket publishers, "
                "epoll reactor (2 workers)\",\n"
                "  \"hardware_concurrency\": %u,\n"
+               "  \"build_type\": \"%s\",\n"
+               "  \"trials\": %zu,\n"
+               "  \"failed_trials\": %zu,\n"
                "  \"messages_per_sweep\": %zu,\n"
                "  \"sweep\": [\n",
-               std::thread::hardware_concurrency(), kTotal);
+               std::thread::hardware_concurrency(), STAMPEDE_BUILD_TYPE,
+               kTrials, failed, kTotal);
   for (std::size_t i = 0; i < std::size(sweep); ++i) {
-    std::fprintf(out,
-                 "    {\"connections\": %zu, \"msgs_per_second\": %.0f}%s\n",
-                 sweep[i], rates[i],
-                 i + 1 < std::size(sweep) ? "," : "");
+    std::fprintf(out, "    {\"connections\": %zu, ", sweep[i]);
+    print_spread(out, "msgs_per_second", rates[i], "%.0f");
+    std::fprintf(out, ", ");
+    print_spread(out, "setup_s", setups[i], "%.4f");
+    std::fprintf(out, "}%s\n", i + 1 < std::size(sweep) ? "," : "");
   }
   std::fprintf(out,
                "  ],\n"
@@ -316,8 +378,8 @@ void emit_connection_sweep_json() {
                "}\n",
                ratio4k);
   std::fclose(out);
-  std::printf("BENCH_net_connections.json: 4096-connection throughput is "
-              "%.0f%% of the 16-connection baseline\n",
+  std::printf("BENCH_net_connections.json: 4096-connection median "
+              "throughput is %.0f%% of the 16-connection median\n",
               ratio4k * 100.0);
 }
 

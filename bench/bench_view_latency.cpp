@@ -93,7 +93,7 @@ LatencyResult run_latency(const std::string& log_path) {
     const auto t0 = Clock::now();
     // The subscriber-visible path: apply, commit, maintain, emit.
     ldr.process(*record);
-    ldr.idle_flush();
+    ldr.flush_hint();
     const auto dt = Clock::now() - t0;
     latencies_ms.push_back(
         std::chrono::duration<double, std::milli>(dt).count());

@@ -12,8 +12,6 @@
 namespace stampede::cluster {
 namespace {
 
-using namespace std::chrono_literals;
-
 struct HostTelemetry {
   telemetry::Counter& apply_frames =
       telemetry::registry().counter("stampede_cluster_host_apply_frames_total");
@@ -48,9 +46,8 @@ ShardHost::~ShardHost() {
   stop();
 }
 
-void ShardHost::open_shard(std::size_t index) {
+ShardHost::Hosted& ShardHost::open_shard(std::size_t index) {
   auto hosted = std::make_unique<Hosted>();
-  hosted->index = index;
   const std::string path = db::ShardedDatabase::shard_wal_path(
       options_.wal_base, index, options_.total_shards);
   hosted->db = std::make_unique<db::Database>(path);
@@ -67,16 +64,19 @@ void ShardHost::open_shard(std::size_t index) {
                        {{"version", db::Value{orm::kSchemaVersion}}});
   }
   hosted->wal_offset.store(file_size_or_zero(path));
-  hosted->loader =
-      std::make_unique<loader::StampedeLoader>(*hosted->db, options_.loader);
   Hosted* h = hosted.get();
-  hosted->loader->set_ack_callback([h](std::uint64_t tag) {
+  // Unbounded queue: handle_apply runs on the reactor and must never
+  // block; the router's in-flight window bounds the backlog.
+  hosted->lane = std::make_unique<loader::Lane>(
+      *hosted->db, options_.loader, /*capacity=*/0,
+      [this, h] { flush_acks(*h); });
+  hosted->lane->loader().set_ack_callback([h](std::uint64_t tag) {
     // Fires on the lane thread (inside process/flush); flushed to the
     // origin connection by flush_acks() right after.
     h->pending_acks.push_back(tag);
   });
   const std::scoped_lock lock{hosted_mutex_};
-  hosted_.emplace(index, std::move(hosted));
+  return *hosted_.emplace(index, std::move(hosted)).first->second;
 }
 
 void ShardHost::start() {
@@ -86,10 +86,7 @@ void ShardHost::start() {
   start_replication();
   {
     const std::scoped_lock lock{hosted_mutex_};
-    for (auto& [index, hosted] : hosted_) {
-      Hosted* h = hosted.get();
-      h->lane = std::thread([this, h] { run_lane(*h); });
-    }
+    for (auto& [index, hosted] : hosted_) hosted->lane->start();
   }
   loop_.start();
   for (std::size_t i = 0; i < std::max<std::size_t>(1, options_.query_threads);
@@ -97,7 +94,9 @@ void ShardHost::start() {
     pool_.emplace_back([this] { pool_worker(); });
   }
   start_compactor();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  accept_ = std::make_unique<net::Acceptor>(
+      loop_, listen_fd_.get(),
+      [this](common::SocketFd client) { attach(std::move(client)); });
 }
 
 void ShardHost::start_compactor() {
@@ -180,43 +179,6 @@ void ShardHost::start_replication() {
   }
 }
 
-void ShardHost::run_lane(Hosted& hosted) {
-  auto lane_poll = std::chrono::milliseconds(50);
-  if (options_.loader.flush_deadline_ms != 0) {
-    lane_poll = std::chrono::milliseconds(std::clamp<std::size_t>(
-        options_.loader.flush_deadline_ms / 2, 1, 100));
-  }
-  for (;;) {
-    auto item = hosted.queue.pop_for(lane_poll);
-    if (abandoned_.load()) return;  // Crash simulation: no final flush.
-    if (!item) {
-      if (hosted.queue.closed() && hosted.queue.size() == 0) break;
-      {
-        const std::scoped_lock lock{hosted.loader_mutex};
-        hosted.loader->maybe_deadline_flush();
-      }
-      flush_acks(hosted);
-      continue;
-    }
-    {
-      const std::scoped_lock lock{hosted.loader_mutex};
-      if (item->flush_marker) {
-        if (hosted.queue.size() == 0) hosted.loader->idle_flush();
-      } else {
-        hosted.loader->process(item->apply.record, nullptr,
-                               item->apply.redelivered, item->apply.ack_tag);
-        hosted.loader->maybe_deadline_flush();
-      }
-    }
-    flush_acks(hosted);
-  }
-  {
-    const std::scoped_lock lock{hosted.loader_mutex};
-    hosted.loader->finish();
-  }
-  flush_acks(hosted);
-}
-
 void ShardHost::flush_acks(Hosted& hosted) {
   if (hosted.pending_acks.empty()) return;
   // Semi-synchronous gate: an ack leaves this host only once the
@@ -248,18 +210,6 @@ void ShardHost::flush_acks(Hosted& hosted) {
   }
 }
 
-void ShardHost::accept_loop() {
-  while (running_.load()) {
-    int accept_err = 0;
-    auto client = common::accept_client(listen_fd_.get(), 50, &accept_err);
-    if (!client.valid()) {
-      if (accept_err != 0) std::this_thread::sleep_for(50ms);
-      continue;
-    }
-    attach(std::move(client));
-  }
-}
-
 void ShardHost::attach(common::SocketFd fd) {
   auto hconn = std::make_shared<HostConn>();
   hconn->conn = std::make_shared<net::Connection>(
@@ -268,14 +218,25 @@ void ShardHost::attach(common::SocketFd fd) {
     const std::scoped_lock lock{conns_mutex_};
     conns_[hconn.get()] = hconn;
   }
-  loop_.defer([this, hconn] {
-    hconn->conn->start(
-        [this, hconn](std::string_view data) { return on_data(hconn, data); },
-        [this, hconn] {
-          const std::scoped_lock lock{conns_mutex_};
-          conns_.erase(hconn.get());
-        });
-  });
+  hconn->conn->start(
+      [this, hconn](std::string_view data) { return on_data(hconn, data); },
+      [this, hconn] {
+        const std::scoped_lock lock{conns_mutex_};
+        conns_.erase(hconn.get());
+      });
+}
+
+ShardHost::Hosted* ShardHost::find_hosted(const HostConn& hconn,
+                                          std::uint32_t channel,
+                                          std::uint32_t shard) {
+  {
+    const std::scoped_lock lock{hosted_mutex_};
+    const auto it = hosted_.find(shard);
+    if (it != hosted_.end()) return it->second.get();
+  }
+  hconn.conn->send(net::encode_error(
+      channel, "shard " + std::to_string(shard) + " not hosted"));
+  return nullptr;
 }
 
 std::size_t ShardHost::on_data(const std::shared_ptr<HostConn>& hconn,
@@ -324,28 +285,14 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad query"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
-      auto conn = hconn->conn;
-      const std::uint32_t channel = frame.channel;
-      pool_jobs_.push([hosted, select, conn, channel] {
-        host_telemetry().queries.inc();
-        try {
-          const db::ResultSet rs = hosted->db->execute(*select);
-          conn->send(encode_cluster_result(channel, rs));
-        } catch (const std::exception& e) {
-          conn->send(net::encode_error(channel, e.what()));
-        }
-      });
+      Hosted* hosted = find_hosted(*hconn, frame.channel, shard);
+      if (hosted == nullptr) return true;
+      answer_on_pool(*hconn, frame.channel,
+                     [hosted, select, channel = frame.channel] {
+                       host_telemetry().queries.inc();
+                       return encode_cluster_result(
+                           channel, hosted->db->execute(*select));
+                     });
       return true;
     }
     case FrameType::kClusterVersions: {
@@ -355,27 +302,13 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad versions"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
-      auto conn = hconn->conn;
-      const std::uint32_t channel = frame.channel;
-      pool_jobs_.push([hosted, tables, conn, channel] {
-        try {
-          conn->send(encode_cluster_versions_ok(
-              channel, hosted->db->table_versions(*tables)));
-        } catch (const std::exception& e) {
-          conn->send(net::encode_error(channel, e.what()));
-        }
-      });
+      Hosted* hosted = find_hosted(*hconn, frame.channel, shard);
+      if (hosted == nullptr) return true;
+      answer_on_pool(*hconn, frame.channel,
+                     [hosted, tables, channel = frame.channel] {
+                       return encode_cluster_versions_ok(
+                           channel, hosted->db->table_versions(*tables));
+                     });
       return true;
     }
     case FrameType::kClusterStats: {
@@ -384,26 +317,17 @@ bool ShardHost::handle_frame(const std::shared_ptr<HostConn>& hconn,
         hconn->conn->send(net::encode_error(frame.channel, "bad stats"));
         return true;
       }
-      Hosted* hosted = nullptr;
-      {
-        const std::scoped_lock lock{hosted_mutex_};
-        const auto it = hosted_.find(shard);
-        if (it != hosted_.end()) hosted = it->second.get();
-      }
-      if (hosted == nullptr) {
-        hconn->conn->send(net::encode_error(
-            frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-        return true;
-      }
+      Hosted* hosted = find_hosted(*hconn, frame.channel, shard);
+      if (hosted == nullptr) return true;
+      // Answered on the lane, behind every apply queued before it — the
+      // reply counts them all, and the loader needs no lock.
       auto conn = hconn->conn;
       const std::uint32_t channel = frame.channel;
-      pool_jobs_.push([hosted, conn, channel] {
+      const db::Database* db = hosted->db.get();
+      hosted->lane->post([db, conn, channel](loader::StampedeLoader& l) {
         HostShardStats stats;
-        {
-          const std::scoped_lock lock{hosted->loader_mutex};
-          stats.loader = hosted->loader->stats();
-        }
-        stats.wal_truncated = hosted->db->wal_truncated_records();
+        stats.loader = l.stats();
+        stats.wal_truncated = db->wal_truncated_records();
         conn->send(encode_cluster_stats_ok(channel, stats));
       });
       return true;
@@ -429,32 +353,17 @@ void ShardHost::handle_apply(const std::shared_ptr<HostConn>& hconn,
     hconn->conn->send(net::encode_error(frame.channel, "bad apply"));
     return;
   }
-  Hosted* hosted = nullptr;
-  {
-    const std::scoped_lock lock{hosted_mutex_};
-    const auto it = hosted_.find(shard);
-    if (it != hosted_.end()) hosted = it->second.get();
-  }
-  if (hosted == nullptr) {
-    hconn->conn->send(net::encode_error(
-        frame.channel, "shard " + std::to_string(shard) + " not hosted"));
-    return;
-  }
+  Hosted* hosted = find_hosted(*hconn, frame.channel, shard);
+  if (hosted == nullptr) return;
   host_telemetry().apply_frames.inc();
   {
     const std::scoped_lock lock{hosted->origin_mutex};
     hosted->origin = hconn->conn;
   }
-  if (items.empty()) {
-    LaneItem marker;
-    marker.flush_marker = true;
-    hosted->queue.try_push(std::move(marker));
-    return;
-  }
+  if (items.empty()) hosted->lane->flush_hint();
   for (auto& item : items) {
-    LaneItem lane_item;
-    lane_item.apply = std::move(item);
-    hosted->queue.push(std::move(lane_item));
+    hosted->lane->push(std::move(item.record), nullptr, item.redelivered,
+                       item.ack_tag);
   }
 }
 
@@ -510,41 +419,42 @@ void ShardHost::handle_promote(const std::shared_ptr<HostConn>& hconn,
     hconn->conn->send(net::encode_error(frame.channel, "bad promote"));
     return;
   }
-  auto conn = hconn->conn;
-  const std::uint32_t channel = frame.channel;
-  pool_jobs_.push([this, shards, conn, channel] {
-    try {
-      std::vector<PromoteResult> results;
-      for (const std::uint32_t shard : shards) {
-        {
-          // Stop appending replicated bytes; the file is now an archive.
-          const std::scoped_lock lock{replicas_mutex_};
-          const auto it = replicas_.find(shard);
-          if (it != replicas_.end() && it->second.out.is_open()) {
-            it->second.out.close();
-          }
+  answer_on_pool(*hconn, frame.channel, [this, shards,
+                                          channel = frame.channel] {
+    std::vector<PromoteResult> results;
+    for (const std::uint32_t shard : shards) {
+      {
+        // Stop appending replicated bytes; the file is now an archive.
+        const std::scoped_lock lock{replicas_mutex_};
+        const auto it = replicas_.find(shard);
+        if (it != replicas_.end() && it->second.out.is_open()) {
+          it->second.out.close();
         }
-        // Opens + recovers the replicated WAL: a torn trailing record
-        // (primary died mid-append) is tolerated and counted, exactly
-        // like a local restart; anything torn mid-file throws and the
-        // promotion is refused.
-        open_shard(shard);
-        Hosted* hosted = nullptr;
-        {
-          const std::scoped_lock lock{hosted_mutex_};
-          hosted = hosted_.at(shard).get();
-        }
-        hosted->lane = std::thread([this, hosted] { run_lane(*hosted); });
-        PromoteResult result;
-        result.shard = shard;
-        result.recovered_ops = hosted->recovered_ops;
-        result.truncated_records = hosted->db->wal_truncated_records();
-        results.push_back(result);
       }
-      promoted_.store(true);
-      start_compactor();  // The promoted shards now take live writes.
-      host_telemetry().promotions.inc();
-      conn->send(encode_cluster_promote_ok(channel, results));
+      // Opens + recovers the replicated WAL: a torn trailing record
+      // (primary died mid-append) is tolerated and counted, exactly
+      // like a local restart; anything torn mid-file throws and the
+      // promotion is refused.
+      Hosted& hosted = open_shard(shard);
+      hosted.lane->start();
+      PromoteResult result;
+      result.shard = shard;
+      result.recovered_ops = hosted.recovered_ops;
+      result.truncated_records = hosted.db->wal_truncated_records();
+      results.push_back(result);
+    }
+    promoted_.store(true);
+    start_compactor();  // The promoted shards now take live writes.
+    host_telemetry().promotions.inc();
+    return encode_cluster_promote_ok(channel, results);
+  });
+}
+
+void ShardHost::answer_on_pool(const HostConn& hconn, std::uint32_t channel,
+                               std::function<std::string()> reply) {
+  pool_jobs_.push([conn = hconn.conn, channel, reply = std::move(reply)] {
+    try {
+      conn->send(reply());
     } catch (const std::exception& e) {
       conn->send(net::encode_error(channel, e.what()));
     }
@@ -564,24 +474,29 @@ void ShardHost::stop() {
     const std::scoped_lock lock{compactor_mutex_};
     compactor_.reset();
   }
-  if (acceptor_.joinable()) acceptor_.join();
+  if (accept_) {
+    accept_->stop();
+    accept_.reset();
+  }
   {
     // Close connections first: a lane blocked in an ack send unblocks.
     const std::scoped_lock lock{conns_mutex_};
     for (auto& [ptr, hconn] : conns_) hconn->conn->close();
   }
   if (repl_link_) repl_link_->close();
-  {
-    const std::scoped_lock lock{hosted_mutex_};
-    for (auto& [index, hosted] : hosted_) hosted->queue.close();
-  }
   std::vector<Hosted*> lanes;
   {
     const std::scoped_lock lock{hosted_mutex_};
     for (auto& [index, hosted] : hosted_) lanes.push_back(hosted.get());
   }
   for (Hosted* hosted : lanes) {
-    if (hosted->lane.joinable()) hosted->lane.join();
+    // kill() abandons: buffered-but-uncommitted batches are lost, like a
+    // real crash; stop() drains each lane and flushes it.
+    if (abandoned_.load()) {
+      hosted->lane->abandon();
+    } else {
+      hosted->lane->finish();
+    }
   }
   pool_jobs_.close();
   for (auto& worker : pool_) {
@@ -594,10 +509,6 @@ void ShardHost::stop() {
 void ShardHost::kill() {
   abandoned_.store(true);
   stop();
-  // Simulate the crash: the loaders' buffered-but-uncommitted batches
-  // are lost, not flushed by their destructors.
-  const std::scoped_lock lock{hosted_mutex_};
-  for (auto& [index, hosted] : hosted_) hosted->loader->abandon();
 }
 
 }  // namespace stampede::cluster

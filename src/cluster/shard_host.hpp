@@ -6,9 +6,10 @@
 //
 //   Active: each hosted shard opens its WAL (the same
 //   `<base>.<index>` file a local ShardedDatabase would use, with the
-//   same strided PK allocation), runs a StampedeLoader on a dedicated
-//   lane thread, and answers kClusterApply / kClusterQuery /
-//   kClusterVersions / kClusterStats. Apply acks are released only
+//   same strided PK allocation), runs a loader::Lane — the same lane a
+//   local ShardedLoader runs — and answers kClusterApply /
+//   kClusterQuery / kClusterVersions / kClusterStats. Apply acks are
+//   released only
 //   after the shard's commit — and, when a follower is attached, only
 //   after the follower acknowledged the WAL bytes of that commit
 //   (semi-synchronous replication), so an acked event survives losing
@@ -21,11 +22,11 @@
 //   restart; mid-file corruption refuses the promotion), starts lanes
 //   and serves as the new primary for those shards.
 //
-// Threading mirrors the bus server: a blocking acceptor feeds one
-// epoll EventLoop that owns all connection state; queries run on a
-// small pool so a scan never stalls the loop; each shard's lane thread
-// owns its loader. APPLY frames enqueue to the lane (the router's
-// in-flight cap bounds the queue); acks flow back from the lane.
+// Threading: one EventLoop accepts (net::Acceptor) and owns all
+// connection state; queries run on a small pool so a scan never stalls
+// the loop. APPLY and STATS frames ride the shard's lane queue (never
+// blocking the loop: the router's in-flight window bounds it), and acks
+// flow back from the lane's after-step hook.
 
 #include <atomic>
 #include <condition_variable>
@@ -46,7 +47,8 @@
 #include "common/socket.hpp"
 #include "db/compactor.hpp"
 #include "db/database.hpp"
-#include "loader/stampede_loader.hpp"
+#include "loader/lane.hpp"
+#include "net/acceptor.hpp"
 #include "net/client_link.hpp"
 #include "net/connection.hpp"
 #include "net/event_loop.hpp"
@@ -110,22 +112,12 @@ class ShardHost {
   [[nodiscard]] bool promoted() const noexcept { return promoted_.load(); }
 
  private:
-  struct LaneItem {
-    ApplyItem apply;
-    bool flush_marker = false;
-  };
-
   /// One hosted (active) shard: archive + loader lane + replication
   /// bookkeeping.
   struct Hosted {
-    std::size_t index = 0;
     std::unique_ptr<db::Database> db;
-    std::unique_ptr<loader::StampedeLoader> loader;
-    /// Serializes lane loader calls with pool-thread stats reads.
-    std::mutex loader_mutex;
     std::uint64_t recovered_ops = 0;  ///< WAL ops replayed at open.
-    common::ConcurrentQueue<LaneItem> queue{0};  ///< Unbounded; router caps.
-    std::thread lane;
+    std::unique_ptr<loader::Lane> lane;  ///< Unbounded queue; router caps.
 
     /// WAL byte offsets: size of the file (next append position) and
     /// the highest offset the follower has made durable.
@@ -156,9 +148,11 @@ class ShardHost {
     bool dying = false;
   };
 
-  void open_shard(std::size_t index);
-  void accept_loop();
+  Hosted& open_shard(std::size_t index);
   void attach(common::SocketFd fd);
+  /// The hosted shard, or nullptr after replying "shard N not hosted".
+  Hosted* find_hosted(const HostConn& hconn, std::uint32_t channel,
+                      std::uint32_t shard);
   std::size_t on_data(const std::shared_ptr<HostConn>& hconn,
                       std::string_view data);
   bool handle_frame(const std::shared_ptr<HostConn>& hconn,
@@ -169,8 +163,10 @@ class ShardHost {
                         const net::Frame& frame);
   void handle_promote(const std::shared_ptr<HostConn>& hconn,
                       const net::Frame& frame);
-  void run_lane(Hosted& hosted);
   void flush_acks(Hosted& hosted);
+  /// Sends `reply()` from a pool thread, or the error it throws.
+  void answer_on_pool(const HostConn& hconn, std::uint32_t channel,
+                      std::function<std::string()> reply);
   void start_replication();
   void start_compactor();
   void pool_worker();
@@ -180,7 +176,7 @@ class ShardHost {
   int port_ = 0;
 
   net::EventLoop loop_;
-  std::thread acceptor_;
+  std::unique_ptr<net::Acceptor> accept_;
   std::atomic<bool> running_{false};
   std::atomic<bool> abandoned_{false};
   std::atomic<bool> promoted_{false};

@@ -12,9 +12,9 @@
 //     synchronous client paths and tests.
 //   - Non-blocking primitives (set_nonblocking, send_some,
 //     recv_nonblocking, accept_nonblocking) used by the net::EventLoop
-//     reactor under the bus and dashboard servers. These never park the
-//     caller: they report kWouldBlock/-EAGAIN and let the event loop
-//     re-arm interest.
+//     reactor under the bus, cluster and dashboard servers. These never
+//     park the caller: they report kWouldBlock/-EAGAIN and let the
+//     event loop re-arm interest.
 
 #include <cstddef>
 #include <cstdint>
@@ -94,23 +94,15 @@ bool set_reuseaddr(int fd, bool enabled = true);
 [[nodiscard]] SocketFd listen_tcp(const std::string& host, int port,
                                   int backlog, int* bound_port);
 
-/// Polls the listening fd up to `timeout_ms` and accepts one client
-/// (EINTR/ECONNABORTED retried within the window, TCP_NODELAY applied).
-/// Invalid SocketFd on timeout or error; `fatal_errno` (may be null)
-/// receives the errno of a non-retryable accept failure (EMFILE-class)
-/// and 0 otherwise, so accept loops can back off instead of re-polling
-/// a backlog that stays readable.
-[[nodiscard]] SocketFd accept_client(int listen_fd, int timeout_ms,
-                                     int* fatal_errno = nullptr);
+/// Polls the listening fd up to `timeout_ms`, then accept_nonblocking()
+/// once (a test helper; servers accept through net::Acceptor). Invalid
+/// SocketFd on timeout or error.
+[[nodiscard]] SocketFd accept_client(int listen_fd, int timeout_ms);
 
-/// Non-blocking accept for a listening fd owned by an event loop.
-/// Invalid SocketFd when no connection is pending (EAGAIN) or on a
-/// transient error (ECONNABORTED); the accepted fd has TCP_NODELAY set
-/// but inherits blocking mode — callers switch it themselves.
-/// `fatal_errno` (may be null) receives the errno of a persistent
-/// failure (EMFILE/ENFILE/ENOMEM) and 0 otherwise — distinguishing
-/// "backlog drained" from "accept failing while the fd stays readable",
-/// which a level-triggered watcher must answer with backoff, not retry.
+/// Non-blocking accept (net::Acceptor's drain). Invalid SocketFd when
+/// the backlog is drained or on a persistent failure, which
+/// `fatal_errno` (may be null) reports (EMFILE/ENFILE/ENOMEM; else 0).
+/// The accepted fd has TCP_NODELAY set but inherits blocking mode.
 [[nodiscard]] SocketFd accept_nonblocking(int listen_fd,
                                           int* fatal_errno = nullptr);
 

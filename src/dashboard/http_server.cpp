@@ -88,8 +88,11 @@ void HttpResponder::respond(HttpResponse response) const {
 }
 
 HttpServer::HttpServer(int port, HttpServerOptions options)
-    : options_(options) {
-  listen_fd_ = common::listen_tcp("127.0.0.1", port, /*backlog=*/64, &port_);
+    : options_(options),
+      listen_fd_(
+          common::listen_tcp("127.0.0.1", port, /*backlog=*/64, &port_)),
+      accept_(loop_, listen_fd_.get(),
+              [this](common::SocketFd client) { attach(std::move(client)); }) {
   gate_->server = this;
 }
 
@@ -116,27 +119,7 @@ void HttpServer::route_async(const std::string& pattern,
 
 void HttpServer::start() {
   if (running_.exchange(true)) return;
-  (void)common::set_nonblocking(listen_fd_.get());
   loop_.start();
-  loop_.defer([this] {
-    if (!watch_listen_fd()) pause_accepting();
-  });
-}
-
-bool HttpServer::watch_listen_fd() {
-  return loop_.watch(listen_fd_.get(), net::EventLoop::kReadable,
-                     [this](std::uint32_t) { accept_ready(); });
-}
-
-void HttpServer::pause_accepting() {
-  loop_.unwatch(listen_fd_.get());
-  (void)loop_.schedule(std::chrono::milliseconds(100), [this] {
-    if (!running_.load()) return;
-    // Existing connections had 100 ms to close and release fds; if the
-    // re-registration itself fails we are still out of resources — keep
-    // backing off on the same cadence.
-    if (!watch_listen_fd()) pause_accepting();
-  });
 }
 
 void HttpServer::stop() {
@@ -150,7 +133,7 @@ void HttpServer::stop() {
   // then stop the loop.
   std::promise<void> drained;
   loop_.defer([this, &drained] {
-    loop_.unwatch(listen_fd_.get());
+    accept_.stop();
     auto snapshot = conns_;
     for (const auto& [_, pending] : snapshot) pending->conn->close();
     drained.set_value();
@@ -160,52 +143,41 @@ void HttpServer::stop() {
   listen_fd_.reset();
 }
 
-void HttpServer::accept_ready() {
-  for (;;) {
-    int accept_err = 0;
-    auto client = common::accept_nonblocking(listen_fd_.get(), &accept_err);
-    if (!client.valid()) {
-      // EMFILE-class failure leaves the pending connection queued and
-      // the fd readable: without the pause the loop would wake and
-      // re-fail accept in a tight spin. EAGAIN just means drained.
-      if (accept_err != 0) pause_accepting();
-      return;
-    }
-    auto pending = std::make_shared<Pending>();
-    net::Connection::Options copts;
-    copts.read_chunk = 4096;
-    pending->conn = std::make_shared<net::Connection>(
-        loop_, std::move(client), copts);
-    conns_[pending->conn.get()] = pending;
-    http_telemetry().connections.set(
-        static_cast<std::int64_t>(conns_.size()));
-    pending->conn->start(
-        [this, pending](std::string_view data) {
-          return on_data(pending, data);
-        },
-        [this, pending] {
-          if (pending->deadline != 0) {
-            loop_.cancel(pending->deadline);
-            pending->deadline = 0;
-          }
-          conns_.erase(pending->conn.get());
-          http_telemetry().connections.set(
-              static_cast<std::int64_t>(conns_.size()));
-        });
-    // The slowloris guard: a connection that has not produced a full
-    // header block when this fires gets 408 and the door.
-    pending->deadline = loop_.schedule(
-        std::chrono::milliseconds(options_.read_timeout_ms),
-        [this, pending] {
+void HttpServer::attach(common::SocketFd client) {
+  auto pending = std::make_shared<Pending>();
+  net::Connection::Options copts;
+  copts.read_chunk = 4096;
+  pending->conn = std::make_shared<net::Connection>(
+      loop_, std::move(client), copts);
+  conns_[pending->conn.get()] = pending;
+  http_telemetry().connections.set(
+      static_cast<std::int64_t>(conns_.size()));
+  pending->conn->start(
+      [this, pending](std::string_view data) {
+        return on_data(pending, data);
+      },
+      [this, pending] {
+        if (pending->deadline != 0) {
+          loop_.cancel(pending->deadline);
           pending->deadline = 0;
-          if (pending->responded || pending->conn->closed()) return;
-          auto& tele = http_telemetry();
-          tele.rejected_slow.inc();
-          tele.errors.inc();
-          respond(pending,
-                  HttpResponse{408, "text/plain", "request timeout"});
-        });
-  }
+        }
+        conns_.erase(pending->conn.get());
+        http_telemetry().connections.set(
+            static_cast<std::int64_t>(conns_.size()));
+      });
+  // The slowloris guard: a connection that has not produced a full
+  // header block when this fires gets 408 and the door.
+  pending->deadline = loop_.schedule(
+      std::chrono::milliseconds(options_.read_timeout_ms),
+      [this, pending] {
+        pending->deadline = 0;
+        if (pending->responded || pending->conn->closed()) return;
+        auto& tele = http_telemetry();
+        tele.rejected_slow.inc();
+        tele.errors.inc();
+        respond(pending,
+                HttpResponse{408, "text/plain", "request timeout"});
+      });
 }
 
 std::size_t HttpServer::on_data(const std::shared_ptr<Pending>& pending,

@@ -4,9 +4,9 @@
 // (paper §IV-F; theirs was Python, ours is an epoll reactor).
 //
 // Runs on the same net::EventLoop core as the bus server (DESIGN.md
-// §12): one loop thread accepts and serves every connection, so a
-// trickling client no longer serializes the whole server — it just
-// parks a buffer and a deadline timer.
+// §12): one loop thread accepts (net::Acceptor) and serves every
+// connection, so a trickling client no longer serializes the whole
+// server — it just parks a buffer and a deadline timer.
 //
 // Hardened against trickle-feed (slowloris-style) clients: a request
 // must arrive whole within `read_timeout_ms` and fit in
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/socket.hpp"
+#include "net/acceptor.hpp"
 #include "net/event_loop.hpp"
 
 namespace stampede::net {
@@ -138,13 +139,8 @@ class HttpServer {
     HttpServer* server = nullptr;
   };
 
-  void accept_ready();
-  /// (Re-)registers the listen fd with the loop; loop thread only.
-  bool watch_listen_fd();
-  /// Drops the listen-fd watch and retries it on a timer — the escape
-  /// hatch when accept fails EMFILE-class while the backlog keeps the
-  /// level-triggered fd readable (an immediate retry would spin).
-  void pause_accepting();
+  /// Starts serving one accepted client; loop thread only.
+  void attach(common::SocketFd client);
   /// Consumes buffered request bytes; returns bytes eaten.
   std::size_t on_data(const std::shared_ptr<Pending>& pending,
                       std::string_view data);
@@ -154,10 +150,11 @@ class HttpServer {
       const std::string& path, std::vector<std::string>* params) const;
 
   HttpServerOptions options_;
+  int port_ = 0;  ///< Before listen_fd_: listen_tcp() writes it.
   common::SocketFd listen_fd_;
-  int port_ = 0;
   std::vector<Route> routes_;
   net::EventLoop loop_;
+  net::Acceptor accept_;
   std::atomic<bool> running_{false};
   std::shared_ptr<AsyncGate> gate_ = std::make_shared<AsyncGate>();
   /// Live connections (loop thread only); drained by stop().

@@ -2,10 +2,10 @@
 // The dispatcher-facing loading surface (DESIGN.md §2/§14).
 //
 // A file replayer or QueuePump drives "something that loads BP events
-// and acks after commit" — historically a ShardedLoader, now also the
-// cluster query router (which forwards the same calls to remote
-// shard-host lanes). This interface is that contract, so the pumps are
-// written once.
+// and acks after commit": one StampedeLoader inline, a ShardedLoader's
+// lanes, or the cluster query router (which forwards the same calls to
+// remote shard-host lanes). This interface is that contract — the
+// paper's loader-module seam (§IV-E) — so the pumps are written once.
 
 #include <cstdint>
 #include <functional>
@@ -20,7 +20,9 @@ class EventSink {
   virtual ~EventSink() = default;
 
   /// Routes one event (blocking on backpressure). Returns false once
-  /// the sink is finished. Call from ONE dispatcher thread only.
+  /// the sink is finished (a StampedeLoader also returns false for an
+  /// event it rejected or deferred). Call from ONE dispatcher thread
+  /// only.
   virtual bool process(const nl::LogRecord& record,
                        const telemetry::TraceStamps* trace = nullptr,
                        bool redelivered = false, std::uint64_t ack_tag = 0) = 0;

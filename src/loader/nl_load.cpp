@@ -23,42 +23,23 @@ telemetry::Gauge& events_per_second_gauge() {
   return gauge;
 }
 
-// Shared pump body: LoaderT is StampedeLoader (inline) or ShardedLoader
-// (the caller becomes the lane dispatcher).
-template <typename LoaderT>
-NlLoadStats load_stream_impl(std::istream& in, LoaderT& loader) {
+}  // namespace
+
+NlLoadStats load_stream(std::istream& in, EventSink& sink) {
   const auto start = Clock::now();
   NlLoadStats stats;
   nl::StreamParser parser{in};
   while (auto record = parser.next()) {
     ++stats.messages;
-    loader.process(*record);
+    sink.process(*record);
   }
-  loader.finish();
+  sink.finish();
   stats.lines = parser.lines_read();
   stats.parse_errors = parser.errors().size();
   stats.wall_seconds = seconds_since(start);
   events_per_second_gauge().set(
       static_cast<std::int64_t>(stats.events_per_second()));
   return stats;
-}
-
-}  // namespace
-
-NlLoadStats load_stream(std::istream& in, StampedeLoader& loader) {
-  return load_stream_impl(in, loader);
-}
-
-NlLoadStats load_stream(std::istream& in, EventSink& sink) {
-  return load_stream_impl(in, sink);
-}
-
-NlLoadStats load_file(const std::string& path, StampedeLoader& loader) {
-  std::ifstream in{path};
-  if (!in) {
-    throw std::runtime_error("nl_load: cannot open " + path);
-  }
-  return load_stream(in, loader);
 }
 
 NlLoadStats load_file(const std::string& path, EventSink& sink) {
@@ -68,10 +49,6 @@ NlLoadStats load_file(const std::string& path, EventSink& sink) {
   }
   return load_stream(in, sink);
 }
-
-QueuePump::QueuePump(bus::IBus& bus, std::string queue,
-                     StampedeLoader& loader)
-    : broker_(&bus), queue_(std::move(queue)), loader_(&loader) {}
 
 QueuePump::QueuePump(bus::IBus& bus, std::string queue, EventSink& sink)
     : broker_(&bus), queue_(std::move(queue)), sink_(&sink) {}
@@ -113,25 +90,16 @@ void QueuePump::pump(const std::stop_token& stop) {
   // Acks flow through the loader: each delivery's tag is released only
   // when the transaction holding its rows commits (or the event is
   // definitively rejected), so a crash never acks uncommitted work.
-  const auto ack = [this](std::uint64_t delivery_tag) {
+  sink_->set_ack_callback([this](std::uint64_t delivery_tag) {
     broker_->ack(queue_, delivery_tag);
-  };
-  if (sink_ != nullptr) {
-    sink_->set_ack_callback(ack);
-  } else {
-    loader_->set_ack_callback(ack);
-  }
+  });
   while (true) {
     auto delivery = broker_->basic_get(queue_, tag, /*timeout_ms=*/20);
     if (!delivery) {
       if (stop.stop_requested()) break;  // Drained and asked to stop.
       // Idle: commit the partial batch so its acks release — otherwise
       // unacked messages linger until batch_size more events arrive.
-      if (sink_ != nullptr) {
-        sink_->flush_hint();
-      } else {
-        loader_->idle_flush();
-      }
+      sink_->flush_hint();
       continue;
     }
     // The dequeue-side trace stamp; together with the bus-side stamps it
@@ -160,13 +128,8 @@ void QueuePump::pump(const std::stop_token& stop) {
           static_cast<std::int64_t>(stats_.events_per_second()));
     }
     if (auto* record = std::get_if<nl::LogRecord>(&parsed)) {
-      if (sink_ != nullptr) {
-        sink_->process(*record, &trace, delivery->redelivered,
-                       delivery->delivery_tag);
-      } else {
-        loader_->process(*record, &trace, delivery->redelivered,
-                         delivery->delivery_tag);
-      }
+      sink_->process(*record, &trace, delivery->redelivered,
+                     delivery->delivery_tag);
     } else {
       // A message our parser rejects will never become parseable on
       // redelivery; ack it directly.
@@ -174,11 +137,7 @@ void QueuePump::pump(const std::stop_token& stop) {
     }
   }
   // finish() flushes and releases every remaining ack via the callback.
-  if (sink_ != nullptr) {
-    sink_->finish();
-  } else {
-    loader_->finish();
-  }
+  sink_->finish();
   const std::scoped_lock lock{stats_mutex_};
   stats_.wall_seconds = seconds_since(start);
 }

@@ -37,17 +37,13 @@ struct NlLoadStats {
   }
 };
 
-/// Replays a BP log file into the loader synchronously. Returns pump
-/// statistics; loader-level outcomes are on loader.stats().
-NlLoadStats load_file(const std::string& path, StampedeLoader& loader);
-
-/// Parses BP text from any istream into the loader (for tests/pipes).
-NlLoadStats load_stream(std::istream& in, StampedeLoader& loader);
-
-/// Dispatcher variants: the calling thread routes each event into an
-/// EventSink — a ShardedLoader's per-shard lanes, or a cluster Router
-/// forwarding to remote shard hosts.
+/// Replays a BP log file into `sink` synchronously, then finish()es it:
+/// one StampedeLoader inline, a ShardedLoader's per-shard lanes, or a
+/// cluster Router forwarding to remote shard hosts. Returns pump
+/// statistics; loader-level outcomes are on the sink's stats().
 NlLoadStats load_file(const std::string& path, EventSink& sink);
+
+/// Parses BP text from any istream into `sink` (for tests/pipes).
 NlLoadStats load_stream(std::istream& in, EventSink& sink);
 
 /// Real-time loader pump attached to an AMQP queue. Runs on its own
@@ -61,11 +57,8 @@ class QueuePump {
  public:
   /// Consumes `queue` from any IBus — the in-process Broker or a
   /// net::BusClient reaching a broker in another process; the pump is
-  /// transport-agnostic.
-  QueuePump(bus::IBus& bus, std::string queue, StampedeLoader& loader);
-
-  /// Dispatcher variant: the pump thread routes each message into an
-  /// EventSink (ShardedLoader lanes or a cluster Router).
+  /// transport-agnostic. The pump thread feeds each message to `sink`
+  /// (a StampedeLoader, ShardedLoader lanes or a cluster Router).
   QueuePump(bus::IBus& bus, std::string queue, EventSink& sink);
 
   ~QueuePump();
@@ -90,8 +83,7 @@ class QueuePump {
 
   bus::IBus* broker_;
   std::string queue_;
-  StampedeLoader* loader_ = nullptr;
-  EventSink* sink_ = nullptr;  ///< Set instead of loader_ for sink dispatch.
+  EventSink* sink_;
   std::jthread worker_;
   mutable std::mutex stats_mutex_;
   NlLoadStats stats_;

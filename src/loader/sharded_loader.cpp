@@ -5,29 +5,26 @@
 
 namespace stampede::loader {
 
-ShardedLoader::Lane::Lane(db::StorageShard& shard,
-                          const LoaderOptions& options, std::size_t index)
-    : loader(shard, options),
-      queue(options.lane_queue_capacity),
-      depth(telemetry::registry().gauge(telemetry::labeled(
+ShardedLoader::LaneSlot::LaneSlot(db::StorageShard& shard,
+                                  const LoaderOptions& options,
+                                  std::size_t index)
+    : depth(telemetry::registry().gauge(telemetry::labeled(
           "stampede_loader_lane_depth", "lane", std::to_string(index)))),
       dispatched(telemetry::registry().counter(telemetry::labeled(
           "stampede_loader_lane_events_total", "lane",
-          std::to_string(index)))) {}
+          std::to_string(index)))),
+      lane(shard, options, options.lane_queue_capacity,
+           [this] { depth.set(static_cast<std::int64_t>(lane.depth())); }) {}
 
 ShardedLoader::ShardedLoader(db::ShardedDatabase& database,
                              LoaderOptions options)
     : db_(&database),
       lane_events_(database.shard_count(), 0),
       skew_(telemetry::registry().gauge("stampede_loader_shard_skew_permille")) {
-  if (options.flush_deadline_ms != 0) {
-    lane_poll_ = std::chrono::milliseconds(std::clamp<std::size_t>(
-        options.flush_deadline_ms / 2, 1, 100));
-  }
   lanes_.reserve(database.shard_count());
   for (std::size_t i = 0; i < database.shard_count(); ++i) {
     lanes_.push_back(
-        std::make_unique<Lane>(database.shard(i), options, i));
+        std::make_unique<LaneSlot>(database.shard(i), options, i));
   }
   // Routing must survive a crash/restart: a workflow's rows live on
   // exactly one shard, so every workflow already in the (recovered)
@@ -46,11 +43,7 @@ ShardedLoader::ShardedLoader(db::ShardedDatabase& database,
       }
     }
   }
-  // Workers start only after every lane exists.
-  for (auto& lane : lanes_) {
-    Lane* l = lane.get();
-    l->worker = std::jthread([this, l] { run_lane(*l); });
-  }
+  for (auto& slot : lanes_) slot->lane.start();
 }
 
 ShardedLoader::~ShardedLoader() {
@@ -62,50 +55,14 @@ ShardedLoader::~ShardedLoader() {
   }
 }
 
-void ShardedLoader::run_lane(Lane& lane) {
-  for (;;) {
-    auto item = lane.queue.pop_for(lane_poll_);
-    if (!item) {
-      // This thread is the queue's only consumer, so closed+empty seen
-      // here is final. A plain timeout is the trickle-input escape
-      // hatch: batched-but-uncommitted rows past their age deadline
-      // flush now instead of waiting for a marker on an empty queue.
-      if (lane.queue.closed() && lane.queue.size() == 0) break;
-      lane.loader.maybe_deadline_flush();
-      continue;
-    }
-    lane.depth.set(static_cast<std::int64_t>(lane.queue.size()));
-    if (item->flush_marker) {
-      // Flush eagerly when genuinely idle; behind queued events the
-      // age deadline below bounds the wait instead.
-      if (lane.queue.size() == 0) lane.loader.idle_flush();
-      continue;
-    }
-    lane.loader.process(item->record, item->traced ? &item->trace : nullptr,
-                        item->redelivered, item->ack_tag);
-    // A trickle that never fills a batch (and a backlog of markers
-    // never reaching an empty queue) must still ack within the
-    // deadline.
-    lane.loader.maybe_deadline_flush();
-  }
-  // Queue closed and drained: final flush + deferred replay.
-  lane.loader.finish();
-}
-
 void ShardedLoader::set_ack_callback(
     std::function<void(std::uint64_t)> callback) {
-  for (auto& lane : lanes_) lane->loader.set_ack_callback(callback);
+  for (auto& slot : lanes_) slot->lane.loader().set_ack_callback(callback);
 }
 
 void ShardedLoader::flush_hint() {
   if (finished_) return;
-  for (auto& lane : lanes_) {
-    // try_push: a backlogged lane doesn't need the hint, and the
-    // dispatcher must never block on it.
-    Item marker;
-    marker.flush_marker = true;
-    lane->queue.try_push(std::move(marker));
-  }
+  for (auto& slot : lanes_) slot->lane.flush_hint();
 }
 
 void ShardedLoader::update_skew() {
@@ -134,19 +91,10 @@ bool ShardedLoader::process(const nl::LogRecord& record,
       record, [this](std::string_view key) {
         return db_->shard_index_for_key(key);
       });
-
-  Item item;
-  item.record = record;
-  if (trace != nullptr) {
-    item.trace = *trace;
-    item.traced = true;
-  }
-  item.redelivered = redelivered;
-  item.ack_tag = ack_tag;
-  Lane& lane = *lanes_[lane_index];
-  if (!lane.queue.push(std::move(item))) return false;
-  lane.depth.set(static_cast<std::int64_t>(lane.queue.size()));
-  lane.dispatched.inc();
+  LaneSlot& slot = *lanes_[lane_index];
+  if (!slot.lane.push(record, trace, redelivered, ack_tag)) return false;
+  slot.depth.set(static_cast<std::int64_t>(slot.lane.depth()));
+  slot.dispatched.inc();
   ++lane_events_[lane_index];
   ++dispatched_;
   update_skew();
@@ -156,21 +104,20 @@ bool ShardedLoader::process(const nl::LogRecord& record,
 void ShardedLoader::finish() {
   if (finished_) return;
   finished_ = true;
-  for (auto& lane : lanes_) lane->queue.close();
-  for (auto& lane : lanes_) {
-    if (lane->worker.joinable()) lane->worker.join();
-    lane->depth.set(0);
+  for (auto& slot : lanes_) {
+    slot->lane.finish();
+    slot->depth.set(0);
   }
 }
 
 LoaderStats ShardedLoader::stats() const {
   LoaderStats total;
-  for (const auto& lane : lanes_) total.merge(lane->loader.stats());
+  for (const auto& slot : lanes_) total.merge(slot->lane.loader().stats());
   return total;
 }
 
 const LoaderStats& ShardedLoader::lane_stats(std::size_t lane) const {
-  return lanes_[lane]->loader.stats();
+  return lanes_[lane]->lane.loader().stats();
 }
 
 std::optional<std::size_t> ShardedLoader::route_of(
@@ -182,7 +129,7 @@ std::optional<std::int64_t> ShardedLoader::wf_id(
     const common::Uuid& uuid) const {
   const auto route = route_map_.route_of(uuid);
   if (!route) return std::nullopt;
-  return lanes_[*route]->loader.wf_id(uuid);
+  return lanes_[*route]->lane.loader().wf_id(uuid);
 }
 
 }  // namespace stampede::loader

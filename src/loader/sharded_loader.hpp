@@ -3,9 +3,10 @@
 // archive").
 //
 // One dispatcher (the caller of process(), e.g. a QueuePump or file
-// reader) routes events to N worker lanes; lane i owns shard i, its own
+// reader) routes events to N loader::Lanes; lane i owns shard i, its own
 // orm::Session and identity caches, so lanes never contend on anything
-// but the bounded hand-off queues. Ordering guarantees:
+// but the bounded hand-off queues. This class keeps only the routing,
+// the skew gauge and the per-lane metrics. Ordering guarantees:
 //
 //   * Per workflow: sticky routing sends every event of a workflow to
 //     one lane, and lanes are FIFO, so a workflow's events apply in
@@ -17,18 +18,15 @@
 //     single shard. Unattributed workflows route by hash of their own
 //     UUID.
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/concurrent_queue.hpp"
 #include "common/uuid.hpp"
 #include "db/sharded_database.hpp"
 #include "loader/event_sink.hpp"
+#include "loader/lane.hpp"
 #include "loader/route_map.hpp"
 #include "loader/stampede_loader.hpp"
 #include "netlogger/record.hpp"
@@ -91,39 +89,25 @@ class ShardedLoader : public EventSink {
       const common::Uuid& uuid) const;
 
  private:
-  struct Item {
-    nl::LogRecord record;
-    telemetry::TraceStamps trace;
-    bool traced = false;
-    bool redelivered = false;
-    std::uint64_t ack_tag = 0;
-    bool flush_marker = false;  ///< idle_flush the lane; record is empty.
-  };
-
-  struct Lane {
-    Lane(db::StorageShard& shard, const LoaderOptions& options,
-         std::size_t index);
-    StampedeLoader loader;
-    common::ConcurrentQueue<Item> queue;
+  /// One lane plus the metrics the dispatcher keeps about it.
+  struct LaneSlot {
+    LaneSlot(db::StorageShard& shard, const LoaderOptions& options,
+             std::size_t index);
     telemetry::Gauge& depth;        ///< stampede_loader_lane_depth{lane=i}
     telemetry::Counter& dispatched; ///< stampede_loader_lane_events_total
-    std::jthread worker;            ///< Started by ShardedLoader's ctor.
+    Lane lane;                      ///< Started by ShardedLoader's ctor.
   };
 
-  void run_lane(Lane& lane);
   void update_skew();
 
   db::ShardedDatabase* db_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<std::unique_ptr<LaneSlot>> lanes_;
   /// Sticky tree-co-locating routes (shared logic with the cluster
   /// router — see route_map.hpp).
   WorkflowRouteMap route_map_;
   std::vector<std::uint64_t> lane_events_;  ///< Dispatcher-side, for skew.
   std::uint64_t dispatched_ = 0;
   telemetry::Gauge& skew_;  ///< stampede_loader_shard_skew_permille
-  /// Lane pop timeout: how often an idle (or trickling) lane checks its
-  /// flush deadline. Half the deadline, clamped to [1, 100] ms.
-  std::chrono::milliseconds lane_poll_{100};
   bool finished_ = false;
 };
 

@@ -755,7 +755,7 @@ bool StampedeLoader::flush_deadline_due() const {
 }
 
 void StampedeLoader::maybe_deadline_flush() {
-  if (flush_deadline_due()) idle_flush();
+  if (flush_deadline_due()) flush_hint();
 }
 
 void StampedeLoader::record_waterfall_spans(double commit_steady) {
@@ -802,7 +802,7 @@ void StampedeLoader::record_waterfall_spans(double commit_steady) {
   }
 }
 
-void StampedeLoader::idle_flush() {
+void StampedeLoader::flush_hint() {
   if (!deferred_.empty()) replay_deferred();
   session_.flush();
   // Session::flush is a no-op (no hook) on an empty batch, but events
@@ -813,6 +813,14 @@ void StampedeLoader::idle_flush() {
 bool StampedeLoader::process(const nl::LogRecord& record,
                              const telemetry::TraceStamps* trace,
                              bool redelivered, std::uint64_t ack_tag) {
+  const bool applied = apply(record, trace, redelivered, ack_tag);
+  maybe_deadline_flush();
+  return applied;
+}
+
+bool StampedeLoader::apply(const nl::LogRecord& record,
+                           const telemetry::TraceStamps* trace,
+                           bool redelivered, std::uint64_t ack_tag) {
   ++stats_.events_seen;
   ++stats_.by_event[record.event()];
   tele_.seen.inc();

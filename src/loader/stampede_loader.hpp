@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/uuid.hpp"
+#include "loader/event_sink.hpp"
 #include "netlogger/record.hpp"
 #include "orm/session.hpp"
 #include "telemetry/metrics.hpp"
@@ -72,16 +73,16 @@ struct LoaderOptions {
   /// orphaned events can never grow memory without bound. 0 disables
   /// the cap.
   std::size_t defer_max = 65536;
-  /// Depth of each lane's hand-off queue when the loader runs as
-  /// parallel lanes (ShardedLoader); the dispatcher blocks when a lane
-  /// falls this far behind (backpressure).
+  /// Depth of each ShardedLoader lane's hand-off queue; the dispatcher
+  /// blocks when a lane falls this far behind (backpressure). Shard
+  /// host lanes are unbounded (the router's window bounds them).
   std::size_t lane_queue_capacity = 4096;
   /// Age-based flush deadline: applied-but-uncommitted work (batched
   /// rows, unreleased acks) is force-flushed once the oldest piece has
   /// waited this long — so a trickling event stream that never fills a
-  /// batch still sees bounded commit/ack latency. Enforced by whoever
-  /// drives the loader (ShardedLoader lanes poll it; single-loader
-  /// callers may call maybe_deadline_flush()). 0 disables.
+  /// batch still sees bounded commit/ack latency. process() checks it
+  /// after every event, whoever drives the loader; a loader::Lane also
+  /// checks it when its queue goes quiet. 0 disables.
   std::size_t flush_deadline_ms = 250;
 };
 
@@ -100,13 +101,13 @@ struct LoaderStats {
   void merge(const LoaderStats& other);
 };
 
-class StampedeLoader {
+class StampedeLoader final : public EventSink {
  public:
   /// The database must already contain the Stampede schema
   /// (orm::create_stampede_schema).
   explicit StampedeLoader(db::Database& database, LoaderOptions options = {});
 
-  ~StampedeLoader();
+  ~StampedeLoader() override;
 
   /// Feeds one event. Returns true when the event was applied (possibly
   /// after deferred replay of earlier events), false when it was
@@ -123,34 +124,35 @@ class StampedeLoader {
   /// `ack_tag` (0 = none) is handed to the ack callback once the
   /// event's rows are durably committed — or immediately when the event
   /// produces no rows (invalid, unknown, deduped, dropped) — giving the
-  /// bus ack-after-commit semantics.
+  /// bus ack-after-commit semantics. Ends with maybe_deadline_flush().
   bool process(const nl::LogRecord& record,
                const telemetry::TraceStamps* trace = nullptr,
-               bool redelivered = false, std::uint64_t ack_tag = 0);
+               bool redelivered = false,
+               std::uint64_t ack_tag = 0) override;
 
   /// Receives each processed event's `ack_tag` once it is safe to
   /// acknowledge on the bus (rows committed, or no rows to commit).
-  void set_ack_callback(std::function<void(std::uint64_t)> callback) {
+  void set_ack_callback(std::function<void(std::uint64_t)> callback) override {
     ack_cb_ = std::move(callback);
   }
 
   /// Commits pending batched rows and releases their acks; call when
   /// the input stream goes idle so acknowledgments (and therefore
   /// QueuePump::wait_until_drained) do not wait for a full batch.
-  void idle_flush();
+  void flush_hint() override;
 
   /// True when applied-but-uncommitted work has been waiting longer
   /// than LoaderOptions::flush_deadline_ms.
   [[nodiscard]] bool flush_deadline_due() const;
 
-  /// idle_flush() iff flush_deadline_due() — the bounded-ack-latency
+  /// flush_hint() iff flush_deadline_due() — the bounded-ack-latency
   /// guarantee for trickle input that never fills a batch.
   void maybe_deadline_flush();
 
   /// Flushes batched inserts and replays deferred events one last time.
   /// Call when the input stream ends (or periodically for real-time
   /// readers).
-  void finish();
+  void finish() override;
 
   /// Crash simulation: drops the buffered uncommitted batch and detaches
   /// the commit hook, so neither this loader's destructor nor its
@@ -170,6 +172,9 @@ class StampedeLoader {
  private:
   enum class Outcome { kApplied, kDefer, kError };
 
+  /// process() without the deadline check.
+  bool apply(const nl::LogRecord& record, const telemetry::TraceStamps* trace,
+             bool redelivered, std::uint64_t ack_tag);
   Outcome dispatch(const nl::LogRecord& record);
   void replay_deferred();
 

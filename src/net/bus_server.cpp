@@ -111,14 +111,18 @@ void BusServer::start() {
   reaper_ = std::jthread([this] {
     while (auto sconn = reap_queue_.pop()) reap(*sconn);
   });
-  acceptor_ =
-      std::jthread([this](std::stop_token stop) { accept_loop(stop); });
+  accept_ = std::make_unique<Acceptor>(
+      *loops_[0], listen_fd_.get(), [this](common::SocketFd client) {
+        auto* loop = loops_[next_loop_++ % loops_.size()].get();
+        attach(std::make_shared<ServerConn>(
+            *loop, std::move(client), conn_seq_.fetch_add(1) + 1, options_));
+      });
 }
 
 void BusServer::stop() {
-  if (acceptor_.joinable()) {
-    acceptor_.request_stop();
-    acceptor_.join();
+  if (accept_) {
+    accept_->stop();  // No new connection can join the registry below.
+    accept_.reset();
   }
   // Close every connection; the workers run each teardown (nack handoff
   // to the reaper included) and the registry drains.
@@ -140,28 +144,6 @@ void BusServer::stop() {
 std::size_t BusServer::active_connections() const {
   const std::scoped_lock lock{conns_mutex_};
   return conns_.size();
-}
-
-void BusServer::accept_loop(const std::stop_token& stop) {
-  while (!stop.stop_requested()) {
-    int accept_err = 0;
-    auto client = common::accept_client(listen_fd_.get(), 50, &accept_err);
-    if (!client.valid()) {
-      if (accept_err != 0) {
-        // EMFILE-class: the pending connection keeps the backlog
-        // readable, so the 50 ms poll returns instantly and this loop
-        // would spin hot. Sleep out the window instead.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      }
-      continue;
-    }
-    // Round-robin worker assignment; the acceptor never touches the
-    // socket again.
-    auto* loop = loops_[next_loop_++ % loops_.size()].get();
-    auto sconn = std::make_shared<ServerConn>(
-        *loop, std::move(client), conn_seq_.fetch_add(1) + 1, options_);
-    attach(sconn);
-  }
 }
 
 void BusServer::attach(const std::shared_ptr<ServerConn>& sconn) {

@@ -4,9 +4,10 @@
 // RabbitMQ-broker-on-the-network role of paper §IV-C, Fig. 1).
 //
 // Connections are multiplexed over N EventLoop workers (epoll reactors)
-// instead of thread-per-connection: a blocking acceptor thread assigns
-// each accepted socket round-robin to a worker, and ALL protocol state
-// for a connection lives on its worker thread. The only per-connection
+// instead of thread-per-connection: worker 0 also accepts (the shared
+// net::Acceptor, with its EMFILE backoff) and assigns each accepted
+// socket round-robin to a worker, and ALL protocol state for a
+// connection lives on its worker thread. The only per-connection
 // threads left are consumer pumps — one per CONSUME'd queue — because
 // the broker's basic_get is a blocking call; a pump drains the broker
 // in batches and feeds the connection's bounded outbound buffer.
@@ -43,6 +44,7 @@
 #include "bus/broker.hpp"
 #include "common/concurrent_queue.hpp"
 #include "common/socket.hpp"
+#include "net/acceptor.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
 
@@ -89,7 +91,6 @@ class BusServer {
  private:
   struct ServerConn;
 
-  void accept_loop(const std::stop_token& stop);
   void attach(const std::shared_ptr<ServerConn>& sconn);
   /// Consumes complete frames out of `data`; returns bytes eaten.
   std::size_t on_data(const std::shared_ptr<ServerConn>& sconn,
@@ -112,12 +113,12 @@ class BusServer {
   int port_ = 0;
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::jthread acceptor_;
+  std::unique_ptr<Acceptor> accept_;  ///< On loops_[0].
   std::jthread reaper_;
   common::ConcurrentQueue<std::shared_ptr<ServerConn>> reap_queue_{0};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> conn_seq_{0};
-  std::size_t next_loop_ = 0;  ///< Acceptor-thread-only round robin.
+  std::size_t next_loop_ = 0;  ///< Round robin; loops_[0] thread only.
 
   mutable std::mutex conns_mutex_;
   std::condition_variable conns_cv_;

@@ -681,6 +681,46 @@ TEST(LoaderFlushDeadline, SteadyTrickleDoesNotStarveTheDeadline) {
   lanes.finish();
 }
 
+// The deadline holds for a StampedeLoader driven inline by a QueuePump
+// too. A 10 ms trickle never lets the pump's 20 ms basic_get time out,
+// so no idle flush ever runs; only the deadline can release the acks
+// while the trickle lasts.
+TEST(LoaderFlushDeadline, InlinePumpTrickleAcksWithinDeadline) {
+  db::Database archive;
+  stampede::orm::create_stampede_schema(archive);
+  loader::LoaderOptions opts;
+  opts.flush_deadline_ms = 40;
+  loader::StampedeLoader ldr{archive, opts};
+  // The workflow skeleton the trickled events refer to.
+  for (const auto& record : small_workflow()) ldr.process(record);
+
+  stampede::bus::Broker broker;
+  broker.declare_queue("stampede", {.durable = false});
+  stampede::bus::BpPublisher publisher{broker, "monitoring"};
+  broker.bind("stampede", "monitoring", "stampede.#");
+  loader::QueuePump pump{broker, "stampede", ldr};
+  pump.start();
+
+  constexpr std::size_t kEvents = 40;
+  const auto acked = [&](std::size_t published) {
+    const auto qs = broker.queue_stats("stampede");
+    return published - qs.depth - qs.unacked;
+  };
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    auto running = make(2000.0 + static_cast<double>(i), ev::kJobInstMainStart);
+    running.set(attr::kJobId, std::string{"prep"});
+    running.set(attr::kJobInstId, std::int64_t{1});
+    publisher.publish(running);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  // Events older than the deadline (plus a poll's slack) are acked
+  // while the trickle is still flowing; without the deadline none are.
+  EXPECT_GE(acked(kEvents), kEvents / 2) << "acks held past the deadline";
+  ASSERT_TRUE(pump.wait_until_drained(5000));
+  pump.stop();
+  EXPECT_EQ(acked(kEvents), kEvents);
+}
+
 // Direct unit coverage of the deadline bookkeeping on StampedeLoader.
 TEST(LoaderFlushDeadline, DeadlineTracksOldestPendingAndDisablesAtZero) {
   db::Database archive;

@@ -4,12 +4,17 @@
 // backpressure chain (bounded outbound buffer → blocked producer → TCP
 // pushback), message-list codec round-trips, a many-connection soak
 // (≥512 concurrent publishers against one BusServer), the handshake's
-// refusal of another service's magic or a stale protocol version, and
-// the client side's ClientLink (channel-correlated requests, loss
-// reporting) against a scripted raw peer.
+// refusal of another service's magic or a stale protocol version, the
+// shared acceptor's backoff when the fd table is full, and the client
+// side's ClientLink (channel-correlated requests, loss reporting)
+// against a scripted raw peer.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -880,6 +885,68 @@ TEST(BusServerSoak, FiveHundredTwelveConcurrentPublishers) {
   EXPECT_EQ(broker.queue_stats("soak.q").depth, kConnections);
 
   sockets.clear();
+  server.stop();
+}
+
+// The one accept path (net::Acceptor) under fd exhaustion. HttpServer
+// and ShardHost accept through the same code, so one server covers all
+// three. accept() failing EMFILE leaves the client queued and the listen
+// fd readable: a loop that retried at once would spin on it.
+TEST(AcceptBackoff, FullFdTablePausesAcceptingThenServesThePendingClient) {
+  bus::Broker broker;
+  net::BusServer server{broker};
+  server.start();
+
+  // Only this process's soft limit drops, so filling the table is cheap.
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 1024);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  std::vector<int> filler;
+  const auto release = [&] {
+    for (const int fd : filler) ::close(fd);
+    filler.clear();
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+  };
+  for (;;) {
+    const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    filler.push_back(fd);
+  }
+  if (filler.empty()) {
+    release();
+    FAIL() << "could not fill the fd table";
+  }
+  // One slot for the client's socket; the server's accept gets none.
+  ::close(filler.back());
+  filler.pop_back();
+  auto client = common::connect_tcp("127.0.0.1", server.port());
+  const auto hello = net::encode_hello(/*channel=*/1, net::kBusMagic);
+  const bool sent =
+      client.valid() && common::send_all(client.get(), hello.data(),
+                                         hello.size());
+
+  std::this_thread::sleep_for(50ms);  // The first accept has failed.
+  auto& wakeups =
+      telemetry::registry().counter("stampede_net_epoll_wakeups_total");
+  const std::uint64_t before = wakeups.value();
+  std::this_thread::sleep_for(300ms);
+  const std::uint64_t woken = wakeups.value() - before;
+  const std::size_t accepted = server.active_connections();
+  release();
+
+  ASSERT_TRUE(sent);
+  // A re-arm every 100 ms costs a few wakeups; a spin costs thousands.
+  EXPECT_LT(woken, 50u) << "accept loop spinning on a full fd table";
+  EXPECT_EQ(accepted, 0u);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::string carry;
+  net::Frame reply;
+  ASSERT_TRUE(read_frame(client.get(), carry, &reply));
+  EXPECT_EQ(reply.type, net::FrameType::kHelloOk);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 1s);
   server.stop();
 }
 

@@ -304,16 +304,18 @@ int main(int argc, char** argv) {
     std::unique_ptr<db::ShardedDatabase> sharded_archive;
     std::unique_ptr<loader::StampedeLoader> single_loader;
     std::unique_ptr<loader::ShardedLoader> sharded_loader;
-    if (routed) {
-      // The archives live on the shard hosts; the router already holds a
-      // live link to each.
-    } else if (shards == 1) {
+    // A routed fleet's archives live on the shard hosts; the router
+    // already holds a live link to each.
+    loader::EventSink* sink = router.get();
+    if (!routed && shards == 1) {
       single_archive = orm::open_archive(archive_path);
       single_loader = std::make_unique<loader::StampedeLoader>(*single_archive);
-    } else {
+      sink = single_loader.get();
+    } else if (!routed) {
       sharded_archive = orm::open_sharded_archive(archive_path, shards);
       sharded_loader =
           std::make_unique<loader::ShardedLoader>(*sharded_archive);
+      sink = sharded_loader.get();
     }
     ready.archive_open.store(true, std::memory_order_release);
 
@@ -372,32 +374,17 @@ int main(int argc, char** argv) {
       bus->declare_queue("stampede");
       bus->bind("stampede", "monitoring", "stampede.#");
 
-      std::unique_ptr<loader::QueuePump> pump;
-      if (router) {
-        pump = std::make_unique<loader::QueuePump>(
-            *bus, "stampede", static_cast<loader::EventSink&>(*router));
-      } else if (single_loader) {
-        pump = std::make_unique<loader::QueuePump>(*bus, "stampede",
-                                                   *single_loader);
-      } else {
-        pump = std::make_unique<loader::QueuePump>(*bus, "stampede",
-                                                   *sharded_loader);
-      }
+      loader::QueuePump pump{*bus, "stampede", *sink};
       ready.pump_required.store(true, std::memory_order_release);
-      pump->start();
+      pump.start();
       ready.pump_running.store(true, std::memory_order_release);
-      wait_for_idle(*pump, idle_exit_s);
-      pump->stop();
+      wait_for_idle(pump, idle_exit_s);
+      pump.stop();
       ready.pump_running.store(false, std::memory_order_release);
       ready.bus_client.store(nullptr, std::memory_order_release);
-      stats = pump->stats();
-    } else if (router) {
-      stats = loader::load_file(log_path,
-                                static_cast<loader::EventSink&>(*router));
-    } else if (single_loader) {
-      stats = loader::load_file(log_path, *single_loader);
+      stats = pump.stats();
     } else {
-      stats = loader::load_file(log_path, *sharded_loader);
+      stats = loader::load_file(log_path, *sink);
     }
 
     std::vector<cluster::HostShardStats> shard_stats;
