@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <deque>
 #include <fstream>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/errors.hpp"
-#include "common/string_utils.hpp"
 #include "db/aggregate.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -788,19 +788,82 @@ class ColumnMap {
   std::unordered_map<std::string, std::size_t> unqualified_;
 };
 
-/// Collects top-level equality conjuncts usable as index probes on the
-/// base table.
-void collect_eq_conjuncts(const Expr& expr,
-                          std::vector<const Expr*>& out) {
+/// Collects the top-level `=` and IN conjuncts: the shapes an index
+/// probe answers.
+void collect_index_conjuncts(const Expr& expr,
+                             std::vector<const Expr*>& out) {
   if (expr.kind == Expr::Kind::kAnd) {
     for (const auto& child : expr.children) {
-      collect_eq_conjuncts(*child, out);
+      collect_index_conjuncts(*child, out);
     }
     return;
   }
-  if (expr.kind == Expr::Kind::kCompareLiteral && expr.op == CompareOp::kEq) {
+  if ((expr.kind == Expr::Kind::kCompareLiteral && expr.op == CompareOp::kEq) ||
+      expr.kind == Expr::Kind::kIn) {
     out.push_back(&expr);
   }
+}
+
+/// The values an `=`/IN conjunct admits.
+std::span<const Value> conjunct_keys(const Expr& e) {
+  if (e.kind == Expr::Kind::kIn) return e.in_values;
+  return {&e.literal, 1};
+}
+
+/// True when `value` satisfies the `=`/IN conjunct `e` (NULL never does).
+bool conjunct_holds(const Expr& e, const Value& value) {
+  const auto keys = conjunct_keys(e);
+  return std::any_of(keys.begin(), keys.end(), [&](const Value& key) {
+    return compare_values(value, CompareOp::kEq, key);
+  });
+}
+
+/// RowIds of `table` whose indexed `column` equals one of `keys`,
+/// ascending and distinct. Ascending RowId is scan order, so every plan
+/// enumerates rows — and with them GROUP BY first-occurrence order —
+/// alike. NULL keys match nothing (SQL `=`).
+template <typename Keys>
+std::vector<RowId> index_rows(const Table& table, const std::string& column,
+                              const Keys& keys) {
+  std::vector<RowId> ids;
+  for (const Value& key : keys) {
+    if (key.is_null()) continue;
+    // Engaged: callers only probe columns has_index() accepted.
+    const auto hit = table.index_lookup(column, key).value();
+    ids.insert(ids.end(), hit.begin(), hit.end());
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// The `=`/IN conjunct that narrows one source, preferring one on an
+/// indexed column. The full predicate still runs afterwards, so a
+/// filter only ever narrows.
+struct SourceFilter {
+  const Expr* expr = nullptr;
+  std::size_t col = 0;  ///< Column index within the source's table.
+  bool indexed = false;
+};
+
+SourceFilter source_filter(const std::vector<const Expr*>& conjuncts,
+                           const Source& source, const ColumnMap& columns) {
+  const auto& cols = source.table->def().columns;
+  SourceFilter best;
+  for (const Expr* e : conjuncts) {
+    const auto flat = columns.try_resolve(e->column);
+    if (!flat || *flat < source.offset ||
+        *flat >= source.offset + cols.size()) {
+      continue;  // Another source's column, or unknown/ambiguous.
+    }
+    const std::size_t col = *flat - source.offset;
+    const bool indexed = source.table->has_index(cols[col].name);
+    if (!best.expr || (indexed && !best.indexed)) {
+      best = {e, col, indexed};
+      if (indexed) break;
+    }
+  }
+  return best;
 }
 
 /// Every column name mentioned anywhere in the expression tree.
@@ -826,6 +889,8 @@ struct PlanCounters {
       telemetry::registry().counter("stampede_db_plan_hash_join_total");
   telemetry::Counter& join_pushdown =
       telemetry::registry().counter("stampede_db_plan_join_pushdown_total");
+  telemetry::Counter& semi_join =
+      telemetry::registry().counter("stampede_db_plan_semi_join_total");
   telemetry::Counter& columnar =
       telemetry::registry().counter("stampede_db_plan_columnar_total");
   telemetry::Counter& segment_scans =
@@ -845,10 +910,76 @@ PlanCounters& plan_counters() {
 /// never span threads, so thread_local gives race-free attribution.
 thread_local PlanInfo g_last_plan;
 
-/// Left rows at or below this count take the index-nested-loop join
-/// (O(left · log right) probes) instead of building a hash of the whole
-/// right table.
-constexpr std::size_t kIndexJoinMaxProbe = 64;
+/// One index probe (tree descent, id sort, row fetch) costs about as
+/// much as hashing this many right-table rows: a join takes the
+/// index-nested-loop when its distinct probe keys times this stay within
+/// the right table's row count, and builds a hash otherwise.
+constexpr std::size_t kIndexProbeCost = 4;
+
+/// A semi-join reduction replaces the base scan only when it keeps at
+/// most 1/this of the base table's rows; a larger set would cost about
+/// as much to fetch row by row as the scan.
+constexpr std::size_t kSemiJoinMinShrink = 4;
+
+/// One join's resolved keys.
+struct JoinKeys {
+  std::size_t left_flat = 0;    ///< Flat column among the sources so far.
+  std::size_t left_source = 0;  ///< The source that column belongs to.
+  std::size_t right_col = 0;    ///< Column of the joined table.
+};
+
+/// Name of the flat column `flat`, which belongs to `source`.
+const std::string& column_name(const Source& source, std::size_t flat) {
+  return source.table->def().columns[flat - source.offset].name;
+}
+
+/// Semi-join reduction of the base. A source reached from the base
+/// through inner joins only, with an indexed `=`/IN conjunct, is read
+/// through that index; its join keys are then walked back to the base
+/// through the indexed left columns of each join on the path. What
+/// comes out — ascending RowIds — is every base row that can still
+/// produce output: a base row outside it has no partner on the path that
+/// satisfies the conjunct, and an inner join drops it. Nothing else is
+/// dropped, because the joins and the full predicate still run. nullopt
+/// when no source qualifies or the set would not be much smaller than
+/// the base (a scan is as cheap then).
+std::optional<std::vector<RowId>> semi_join_base(
+    const std::vector<Source>& sources, const std::vector<JoinSpec>& joins,
+    const std::vector<JoinKeys>& keys,
+    const std::vector<SourceFilter>& filters) {
+  const std::size_t base_rows = sources[0].table->row_count();
+  for (std::size_t s = 1; s < sources.size(); ++s) {
+    if (!filters[s].indexed) continue;
+    bool usable = true;
+    for (std::size_t k = s; k != 0 && usable; k = keys[k - 1].left_source) {
+      const JoinKeys& jk = keys[k - 1];
+      const Source& parent = sources[jk.left_source];
+      // A LEFT OUTER join keeps the parent row without a partner.
+      usable = !joins[k - 1].left_outer &&
+               parent.table->has_index(column_name(parent, jk.left_flat));
+    }
+    if (!usable) continue;
+    const Table& table = *sources[s].table;
+    std::vector<RowId> ids =
+        index_rows(table, table.def().columns[filters[s].col].name,
+                   conjunct_keys(*filters[s].expr));
+    for (std::size_t k = s; k != 0; k = keys[k - 1].left_source) {
+      const JoinKeys& jk = keys[k - 1];
+      const Table& child = *sources[k].table;
+      std::unordered_set<Value> join_values;
+      for (const RowId id : ids) {
+        if (const Row* row = child.fetch(id)) {
+          join_values.insert((*row)[jk.right_col]);
+        }
+      }
+      const Source& parent = sources[jk.left_source];
+      ids = index_rows(*parent.table, column_name(parent, jk.left_flat),
+                       join_values);
+    }
+    if (ids.size() * kSemiJoinMinShrink <= base_rows) return ids;
+  }
+  return std::nullopt;
+}
 
 struct GroupKeyHash {
   std::size_t operator()(const Row* row) const noexcept {
@@ -912,6 +1043,26 @@ ResultSet StorageShard::execute_unlocked(const Select& select) const {
   const std::size_t total_width =
       sources.back().offset + sources.back().table->def().columns.size();
 
+  // Join keys: each left column resolves against the sources joined so
+  // far, each right column on its own table.
+  std::vector<JoinKeys> join_keys;
+  join_keys.reserve(select.joins().size());
+  for (std::size_t j = 0; j < select.joins().size(); ++j) {
+    const JoinSpec& join = select.joins()[j];
+    const auto right_col =
+        sources[j + 1].table->def().column_index(join.right_col);
+    if (!right_col) {
+      throw DbError("join: unknown column '" + join.right_col + "' on " +
+                    join.table);
+    }
+    const std::vector<Source> left_sources(
+        sources.begin(), sources.begin() + static_cast<std::ptrdiff_t>(j + 1));
+    const std::size_t left_flat = ColumnMap{left_sources}.resolve(join.left_col);
+    std::size_t left_source = j;
+    while (sources[left_source].offset > left_flat) --left_source;
+    join_keys.push_back({left_flat, left_source, *right_col});
+  }
+
   // Planner: flat columns the query actually reads (projection, groups,
   // aggregates, predicate, join keys). Everything else is materialized
   // as NULL in the wide rows, so aggregate-only queries over joins stop
@@ -951,68 +1102,31 @@ ResultSet StorageShard::execute_unlocked(const Select& select) const {
         mark(name);
       }
     }
-    for (std::size_t j = 0; !needed.empty() && j < select.joins().size();
-         ++j) {
-      const JoinSpec& join = select.joins()[j];
-      // The left key resolves against the sources joined so far; the
-      // right key lives at a known offset.
-      std::vector<Source> left_sources(
-          sources.begin(),
-          sources.begin() + static_cast<std::ptrdiff_t>(j + 1));
-      const ColumnMap left_columns{left_sources};
-      const auto left_flat = left_columns.try_resolve(join.left_col);
-      if (left_flat) {
-        needed[*left_flat] = 1;
-      } else {
-        needed.clear();
-        break;
-      }
-      const auto right_col =
-          sources[j + 1].table->def().column_index(join.right_col);
-      if (right_col) {
-        needed[sources[j + 1].offset + *right_col] = 1;
-      } else {
-        needed.clear();
-        break;
-      }
+    for (std::size_t j = 0; !needed.empty() && j < join_keys.size(); ++j) {
+      needed[join_keys[j].left_flat] = 1;
+      needed[sources[j + 1].offset + join_keys[j].right_col] = 1;
     }
   }
   const auto column_needed = [&](std::size_t flat) {
     return needed.empty() || needed[flat] != 0;
   };
 
-  // 1. Base rows — use an index probe when a top-level equality conjunct
-  //    targets an indexed base-table column.
+  // The `=`/IN conjunct narrowing each source, if any.
+  std::vector<SourceFilter> filters(sources.size());
+  if (select.predicate()) {
+    std::vector<const Expr*> conjuncts;
+    collect_index_conjuncts(*select.predicate(), conjuncts);
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      filters[k] = source_filter(conjuncts, sources[k], columns);
+    }
+  }
+
+  // 1. Base rows — through the base's own indexed conjunct when it has
+  //    one, else through a semi-join reduction when one applies, else a
+  //    scan.
   std::vector<Row> wide;
   {
     const Table& base = *sources[0].table;
-    std::vector<RowId> candidates;
-    bool used_index = false;
-    if (select.predicate()) {
-      std::vector<const Expr*> eqs;
-      collect_eq_conjuncts(*select.predicate(), eqs);
-      for (const Expr* e : eqs) {
-        // Accept "col" or "<base alias>.col".
-        std::string name = e->column;
-        const std::string prefix = sources[0].alias + ".";
-        if (common::starts_with(name, prefix)) {
-          name = name.substr(prefix.size());
-        } else if (name.find('.') != std::string::npos) {
-          continue;  // Qualified with some join alias.
-        }
-        // nullopt = no index on this column (try the next conjunct); an
-        // engaged empty vector is a real "no matching rows" answer.
-        if (auto probe = base.index_lookup(name, e->literal)) {
-          candidates = std::move(*probe);
-          // Secondary indexes hand ids back in index order; scan order
-          // (ascending RowId) keeps every plan's row enumeration — and
-          // with it GROUP BY first-occurrence order — identical.
-          std::sort(candidates.begin(), candidates.end());
-          used_index = true;
-          break;
-        }
-      }
-    }
     auto add_row = [&](const Row& row) {
       Row w;
       w.reserve(row.size());
@@ -1021,10 +1135,22 @@ ResultSet StorageShard::execute_unlocked(const Select& select) const {
       }
       wide.push_back(std::move(w));
     };
-    if (used_index) {
+    std::optional<std::vector<RowId>> candidates;
+    if (filters[0].indexed) {
+      candidates = index_rows(base, base.def().columns[filters[0].col].name,
+                              conjunct_keys(*filters[0].expr));
+    } else {
+      candidates = semi_join_base(sources, select.joins(), join_keys, filters);
+      if (candidates) {
+        plan_counters().semi_join.inc();
+        ++g_last_plan.semi_joins;
+      }
+    }
+    if (candidates) {
       plan_counters().base_index.inc();
       ++g_last_plan.base_index;
-      for (const RowId id : candidates) {
+      wide.reserve(candidates->size());
+      for (const RowId id : *candidates) {
         if (const Row* row = base.fetch(id)) add_row(*row);
       }
     } else {
@@ -1034,68 +1160,63 @@ ResultSet StorageShard::execute_unlocked(const Select& select) const {
     }
   }
 
-  // 2. Joins, left to right. Each join may have an equality conjunct
-  //    pushed down onto the joined table (narrowing the build side via
-  //    its secondary index when one exists); small probe sides take an
-  //    index-nested-loop instead of building a hash at all. The full
-  //    predicate is still applied afterwards (step 3), so pushdown only
-  //    ever narrows.
+  // 2. Joins, left to right. Each left row's matches come out in
+  //    ascending RowId order whichever plan runs, so plans never change
+  //    bytes. The matches are gathered per distinct probe key: through
+  //    the right table's join index when those keys are few against its
+  //    size (index-nested-loop), else by one pass over the right table
+  //    — narrowed through the index of a pushed-down conjunct when it
+  //    has one — keeping only rows some left row wants (hash join).
   for (std::size_t j = 0; j < select.joins().size(); ++j) {
     const JoinSpec& join = select.joins()[j];
     const Source& source = sources[j + 1];
     const Table& right = *source.table;
-    const auto right_col = right.def().column_index(join.right_col);
-    if (!right_col) {
-      throw DbError("join: unknown column '" + join.right_col + "' on " +
-                    join.table);
-    }
+    const std::size_t right_col = join_keys[j].right_col;
+    const std::size_t left_index = join_keys[j].left_flat;
     const std::size_t right_width = right.def().columns.size();
-
-    // Equality conjunct on this joined table, if any — prefer one whose
-    // column is indexed.
-    const Expr* filter = nullptr;
-    std::optional<std::size_t> filter_col;
-    bool filter_indexed = false;
-    if (select.predicate()) {
-      std::vector<const Expr*> eqs;
-      collect_eq_conjuncts(*select.predicate(), eqs);
-      for (const Expr* e : eqs) {
-        std::string name = e->column;
-        const std::string prefix = source.alias + ".";
-        if (common::starts_with(name, prefix)) {
-          name = name.substr(prefix.size());
-        } else if (name.find('.') != std::string::npos) {
-          continue;  // Another source's alias.
-        } else {
-          const auto flat = columns.try_resolve(name);
-          if (!flat || *flat < source.offset ||
-              *flat >= source.offset + right_width) {
-            continue;
-          }
-        }
-        const auto ci = right.def().column_index(name);
-        if (!ci) continue;
-        const bool indexed = right.has_index(name);
-        if (!filter || (indexed && !filter_indexed)) {
-          filter = e;
-          filter_col = ci;
-          filter_indexed = indexed;
-          if (filter_indexed) break;
-        }
-      }
-    }
+    const SourceFilter& filter = filters[j + 1];
     const auto filter_pass = [&](const Row& row) {
-      return !filter || compare_values(row[*filter_col], CompareOp::kEq,
-                                       filter->literal);
+      return !filter.expr || conjunct_holds(*filter.expr, row[filter.col]);
     };
 
-    // Probe side: the left column resolves against the columns joined so
-    // far (all sources with offset < source.offset).
-    std::vector<Source> left_sources(sources.begin(),
-                                     sources.begin() +
-                                         static_cast<std::ptrdiff_t>(j + 1));
-    const ColumnMap left_columns{left_sources};
-    const std::size_t left_index = left_columns.resolve(join.left_col);
+    std::unordered_map<Value, std::vector<const Row*>> matches;
+    matches.reserve(wide.size());
+    for (const Row& left_row : wide) {
+      if (!left_row[left_index].is_null()) {
+        matches.try_emplace(left_row[left_index]);
+      }
+    }
+    if (right.has_index(join.right_col) &&
+        matches.size() * kIndexProbeCost <= right.row_count()) {
+      plan_counters().index_join.inc();
+      ++g_last_plan.index_joins;
+      for (auto& [key, rows] : matches) {
+        for (const RowId id :
+             index_rows(right, join.right_col, std::span{&key, 1})) {
+          const Row* row = right.fetch(id);
+          if (row && filter_pass(*row)) rows.push_back(row);
+        }
+      }
+    } else {
+      plan_counters().hash_join.inc();
+      ++g_last_plan.hash_joins;
+      const auto build_add = [&](const Row& row) {
+        if (!filter_pass(row) || row[right_col].is_null()) return;
+        const auto it = matches.find(row[right_col]);
+        if (it != matches.end()) it->second.push_back(&row);
+      };
+      if (filter.indexed) {
+        plan_counters().join_pushdown.inc();
+        ++g_last_plan.join_pushdowns;
+        for (const RowId id :
+             index_rows(right, right.def().columns[filter.col].name,
+                        conjunct_keys(*filter.expr))) {
+          if (const Row* row = right.fetch(id)) build_add(*row);
+        }
+      } else {
+        right.scan([&](RowId, const Row& row) { build_add(row); });
+      }
+    }
 
     const auto append_right = [&](Row& w, const Row& match) {
       for (std::size_t i = 0; i < right_width; ++i) {
@@ -1103,85 +1224,31 @@ ResultSet StorageShard::execute_unlocked(const Select& select) const {
                                                      : Value::null());
       }
     };
-
     std::vector<Row> joined;
     joined.reserve(wide.size());
-
-    if (right.has_index(join.right_col) &&
-        wide.size() <= kIndexJoinMaxProbe) {
-      // Index-nested-loop: probe the join index per left row.
-      plan_counters().index_join.inc();
-      ++g_last_plan.index_joins;
-      for (auto& left_row : wide) {
-        const Value& key = left_row[left_index];
-        std::vector<RowId> ids;
-        if (!key.is_null()) {
-          // Engaged by the has_index() branch condition above.
-          ids = std::move(right.index_lookup(join.right_col, key).value());
-          std::sort(ids.begin(), ids.end());
-        }
-        bool matched = false;
-        for (const RowId id : ids) {
-          const Row* match = right.fetch(id);
-          if (!match || !filter_pass(*match)) continue;
-          matched = true;
-          Row w;
-          w.reserve(left_row.size() + right_width);
-          w.insert(w.end(), left_row.begin(), left_row.end());
-          append_right(w, *match);
-          joined.push_back(std::move(w));
-        }
-        if (!matched && join.left_outer) {
+    for (auto& left_row : wide) {
+      const Value& key = left_row[left_index];
+      const auto it = key.is_null() ? matches.end() : matches.find(key);
+      if (it == matches.end() || it->second.empty()) {
+        if (join.left_outer) {
           Row w = std::move(left_row);
           w.resize(w.size() + right_width, Value::null());
           joined.push_back(std::move(w));
         }
+        continue;
       }
-    } else {
-      // Hash join; the pushed-down conjunct narrows the build side —
-      // through the filter column's index when it has one.
-      plan_counters().hash_join.inc();
-      ++g_last_plan.hash_joins;
-      std::unordered_map<Value, std::vector<const Row*>> build;
-      const auto build_add = [&](const Row& row) {
-        if (filter_pass(row) && !row[*right_col].is_null()) {
-          build[row[*right_col]].push_back(&row);
+      const std::vector<const Row*>& rows = it->second;
+      for (std::size_t m = 0; m < rows.size(); ++m) {
+        // The last match takes the left row itself instead of a copy.
+        Row w;
+        if (m + 1 < rows.size()) {
+          w = left_row;
+        } else {
+          w = std::move(left_row);
         }
-      };
-      if (filter && filter_indexed) {
-        plan_counters().join_pushdown.inc();
-        ++g_last_plan.join_pushdowns;
-        const std::string& filter_name =
-            right.def().columns[*filter_col].name;
-        // Engaged: filter_indexed was established via has_index().
-        std::vector<RowId> ids =
-            std::move(right.index_lookup(filter_name, filter->literal).value());
-        std::sort(ids.begin(), ids.end());
-        for (const RowId id : ids) {
-          if (const Row* row = right.fetch(id)) build_add(*row);
-        }
-      } else {
-        right.scan([&](RowId, const Row& row) { build_add(row); });
-      }
-
-      for (auto& left_row : wide) {
-        const Value& key = left_row[left_index];
-        const auto it = key.is_null() ? build.end() : build.find(key);
-        if (it == build.end()) {
-          if (join.left_outer) {
-            Row w = std::move(left_row);
-            w.resize(w.size() + right_width, Value::null());
-            joined.push_back(std::move(w));
-          }
-          continue;
-        }
-        for (const Row* match : it->second) {
-          Row w;
-          w.reserve(left_row.size() + right_width);
-          w.insert(w.end(), left_row.begin(), left_row.end());
-          append_right(w, *match);
-          joined.push_back(std::move(w));
-        }
+        w.reserve(w.size() + right_width);
+        append_right(w, *rows[m]);
+        joined.push_back(std::move(w));
       }
     }
     wide = std::move(joined);

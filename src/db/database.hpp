@@ -79,6 +79,8 @@ struct PlanInfo {
   std::uint64_t index_joins = 0;    ///< Index-nested-loop joins taken.
   std::uint64_t hash_joins = 0;     ///< Hash joins taken.
   std::uint64_t join_pushdowns = 0; ///< Build sides narrowed via pushdown.
+  std::uint64_t semi_joins = 0;     ///< Bases narrowed by a semi-join
+                                    ///< reduction (also in base_index).
   std::uint64_t columnar = 0;           ///< Answered by the vectorized
                                         ///< segment-scan path (§15).
   std::uint64_t segments_scanned = 0;   ///< Segments scanned after pruning.

@@ -2,8 +2,9 @@
 // SELECT builder and result set.
 //
 // Covers the query shapes the Stampede tools need (paper §VII): filtered
-// scans, equality hash-joins across the entity tables, GROUP BY with
-// COUNT/SUM/MIN/MAX/AVG aggregates, ORDER BY and LIMIT.
+// scans, equality joins across the entity tables (planned as index or
+// hash joins, DESIGN.md §10), GROUP BY with COUNT/SUM/MIN/MAX/AVG
+// aggregates, ORDER BY and LIMIT.
 
 #include <optional>
 #include <string>

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.hpp"
+#include "db/query.hpp"
 
 namespace stampede::db {
 
@@ -122,17 +123,24 @@ void Table::index_insert(RowId id, const Row& row) {
   }
 }
 
-void Table::index_remove(RowId id, const Row& row) {
-  if (pk_col_) pk_index_.erase(row[*pk_col_]);
-  for (auto& [col, index] : secondary_) {
-    const auto [lo, hi] = index.equal_range(row[col]);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == id) {
-        index.erase(it);
-        break;
-      }
+namespace {
+
+void index_erase(std::multimap<Value, RowId>& index, const Value& key,
+                 RowId id) {
+  const auto [lo, hi] = index.equal_range(key);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second == id) {
+      index.erase(it);
+      return;
     }
   }
+}
+
+}  // namespace
+
+void Table::index_remove(RowId id, const Row& row) {
+  if (pk_col_) pk_index_.erase(row[*pk_col_]);
+  for (auto& [col, index] : secondary_) index_erase(index, row[col], id);
 }
 
 const Row* Table::fetch(RowId id) const noexcept {
@@ -196,9 +204,15 @@ bool Table::update(RowId id,
   check_not_null(updated);
   check_unique(updated, static_cast<RowId>(slot));
   ++version_;
-  index_remove(static_cast<RowId>(slot), rows_[slot]);
-  rows_[slot] = std::move(updated);
-  index_insert(static_cast<RowId>(slot), rows_[slot]);
+  // Only the indexes of changed columns move (the PK is immutable).
+  // Type-tagged equality, so an index always holds the row's own value.
+  Row& row = rows_[slot];
+  for (auto& [col, index] : secondary_) {
+    if (group_values_equal(row[col], updated[col])) continue;
+    index_erase(index, row[col], id);
+    index.emplace(updated[col], id);
+  }
+  row = std::move(updated);
   return true;
 }
 

@@ -23,8 +23,9 @@ bool Lane::push(nl::LogRecord record, const telemetry::TraceStamps* trace,
                 bool redelivered, std::uint64_t ack_tag) {
   Item item;
   item.record = std::move(record);
-  if (trace != nullptr) item.trace = *trace;
-  item.traced = trace != nullptr;
+  if (trace != nullptr) {
+    item.trace = std::make_unique<const telemetry::TraceStamps>(*trace);
+  }
   item.redelivered = redelivered;
   item.ack_tag = ack_tag;
   return queue_.push(std::move(item));
@@ -32,16 +33,16 @@ bool Lane::push(nl::LogRecord record, const telemetry::TraceStamps* trace,
 
 void Lane::flush_hint() {
   Item marker;
-  marker.task = [this](StampedeLoader& loader) {
+  marker.task = std::make_unique<Task>([this](StampedeLoader& loader) {
     // Behind queued events the deadline bounds the wait instead.
     if (queue_.size() == 0) loader.flush_hint();
-  };
+  });
   queue_.try_push(std::move(marker));
 }
 
 bool Lane::post(Task task) {
   Item item;
-  item.task = std::move(task);
+  item.task = std::make_unique<Task>(std::move(task));
   return queue_.push(std::move(item));
 }
 
@@ -61,10 +62,10 @@ void Lane::run() {
     auto item = queue_.pop_for(poll_);
     if (abandoned_.load()) return;  // Crash simulation: no final flush.
     if (item && item->task) {
-      item->task(loader_);
+      (*item->task)(loader_);
     } else if (item) {
-      loader_.process(item->record, item->traced ? &item->trace : nullptr,
-                      item->redelivered, item->ack_tag);
+      loader_.process(item->record, item->trace.get(), item->redelivered,
+                      item->ack_tag);
     } else if (queue_.closed() && queue_.size() == 0) {
       break;  // The only consumer saw closed+empty: final.
     } else {

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "common/concurrent_queue.hpp"
@@ -67,13 +68,14 @@ class Lane {
   }
 
  private:
+  /// Trace stamps and tasks are rare, so they sit out of line: an
+  /// untraced event carries two null pointers, not their bytes.
   struct Item {
     nl::LogRecord record;
-    telemetry::TraceStamps trace;
-    bool traced = false;
-    bool redelivered = false;
+    std::unique_ptr<const telemetry::TraceStamps> trace;  ///< Traced only.
+    std::unique_ptr<Task> task;  ///< Set instead of an event.
     std::uint64_t ack_tag = 0;
-    Task task;  ///< Set instead of an event.
+    bool redelivered = false;
   };
 
   void run();

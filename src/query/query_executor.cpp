@@ -519,6 +519,7 @@ std::shared_ptr<const ResultSet> QueryExecutor::execute(
       span.attr("plan_index_joins", std::to_string(plan.index_joins));
       span.attr("plan_hash_joins", std::to_string(plan.hash_joins));
       span.attr("plan_pushdowns", std::to_string(plan.join_pushdowns));
+      span.attr("plan_semi_joins", std::to_string(plan.semi_joins));
       span.attr("plan_columnar", plan.columnar ? "true" : "false");
       if (plan.columnar) {
         span.attr("plan_segments_scanned",
@@ -549,7 +550,8 @@ std::shared_ptr<const ResultSet> QueryExecutor::execute(
                  "elapsed_ms=%.3f threshold_ms=%.3f cache=%s rows=%zu "
                  "plan_base_index=%llu plan_base_scan=%llu "
                  "plan_index_joins=%llu plan_hash_joins=%llu "
-                 "plan_pushdowns=%llu plan_columnar=%d\n",
+                 "plan_pushdowns=%llu plan_semi_joins=%llu "
+                 "plan_columnar=%d\n",
                  hex_u64(fp_hash).c_str(), select.table().c_str(),
                  elapsed * 1e3, threshold * 1e3,
                  cache_hit ? "hit" : "miss", result->rows.size(),
@@ -558,6 +560,7 @@ std::shared_ptr<const ResultSet> QueryExecutor::execute(
                  static_cast<unsigned long long>(plan.index_joins),
                  static_cast<unsigned long long>(plan.hash_joins),
                  static_cast<unsigned long long>(plan.join_pushdowns),
+                 static_cast<unsigned long long>(plan.semi_joins),
                  plan.columnar ? 1 : 0);
   }
   return result;

@@ -49,6 +49,20 @@ db::TableDef batches_def() {
   return t;
 }
 
+/// Steps of a batch, reachable from `batches` through an indexed join
+/// column (what a semi-join reduction walks back through).
+db::TableDef steps_def() {
+  db::TableDef t;
+  t.name = "steps";
+  t.primary_key = "step_id";
+  t.columns = {
+      {"step_id", db::ColumnType::kInteger, false, std::nullopt},
+      {"batch", db::ColumnType::kInteger, true, std::nullopt},
+  };
+  t.indexes = {{"ix_steps_batch", {"batch"}, false}};
+  return t;
+}
+
 std::uint64_t counter_value(const char* name) {
   return telemetry::registry().counter(name).value();
 }
@@ -291,7 +305,7 @@ TEST(Planner, SmallProbeSideTakesIndexNestedLoopJoin) {
   db::Database d;
   d.create_table(events_def());
   d.create_table(batches_def());
-  for (int b = 0; b < 8; ++b) {
+  for (int b = 0; b < 64; ++b) {
     d.insert("batches", {{"label", Value{"L" + std::to_string(b % 2)}}});
   }
   for (int i = 0; i < 20; ++i) {
@@ -300,8 +314,8 @@ TEST(Planner, SmallProbeSideTakesIndexNestedLoopJoin) {
                         {"dur", Value{1.0 * i}}});
   }
   const auto inl0 = counter_value("stampede_db_plan_index_join_total");
-  // 20 probe rows <= the INL threshold and batch_id is the PK-indexed
-  // join column -> index-nested-loop.
+  // 8 distinct probe keys are few against 64 batches, and batch_id is
+  // the PK-indexed join column -> index-nested-loop.
   const auto rs = d.execute(db::Select{"events"}
                                 .join("batches", "batch", "batch_id")
                                 .columns({"events.id", "batches.label"}));
@@ -316,7 +330,8 @@ TEST(Planner, JoinPushdownFiltersBuildSideThroughIndex) {
   for (int b = 0; b < 10; ++b) {
     d.insert("batches", {{"label", Value{b % 2 ? "odd" : "even"}}});
   }
-  // > kIndexJoinMaxProbe rows so the hash-join path (where pushdown
+  // 10 distinct probe keys against 10 batches: probing the index per
+  // key costs more than one pass, so the hash-join path (where pushdown
   // applies) is taken.
   for (int i = 0; i < 200; ++i) {
     d.insert("events", {{"batch", Value{1 + i % 10}},
@@ -338,9 +353,62 @@ TEST(Planner, JoinPushdownFiltersBuildSideThroughIndex) {
   }
 }
 
+TEST(Planner, SemiJoinReducesBaseThroughIndexedJoinColumn) {
+  db::Database d;
+  d.create_table(batches_def());
+  d.create_table(steps_def());
+  for (int b = 0; b < 64; ++b) {
+    d.insert("batches", {{"label", Value{"L" + std::to_string(b % 8)}}});
+  }
+  for (int i = 0; i < 640; ++i) {
+    d.insert("steps", {{"batch", Value{1 + i % 64}}});
+  }
+  const auto semi0 = counter_value("stampede_db_plan_semi_join_total");
+  const auto scan0 = counter_value("stampede_db_plan_base_scan_total");
+  // The base has no conjunct of its own; batches.label is indexed and
+  // steps.batch is too, so the base starts from the 80 steps of the 8
+  // "L3" batches instead of all 640.
+  const auto rs = d.execute(db::Select{"steps"}
+                                .join("batches", "batch", "batch_id")
+                                .where(db::eq("batches.label", Value{"L3"}))
+                                .columns({"steps.step_id", "batches.label"}));
+  EXPECT_EQ(counter_value("stampede_db_plan_semi_join_total"), semi0 + 1);
+  EXPECT_EQ(counter_value("stampede_db_plan_base_scan_total"), scan0);
+  EXPECT_EQ(db::last_plan_info().semi_joins, 1u);
+  ASSERT_EQ(rs.size(), 80u);
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(rs.at(i, "batches.label").as_text(), "L3");
+  }
+}
+
+TEST(Planner, LeftOuterChainIsNotReduced) {
+  db::Database d;
+  d.create_table(batches_def());
+  d.create_table(steps_def());
+  for (int b = 0; b < 64; ++b) {
+    d.insert("batches", {{"label", Value{"L" + std::to_string(b % 8)}}});
+  }
+  for (int i = 0; i < 640; ++i) {
+    d.insert("steps", {{"batch", Value{1 + i % 64}}});
+  }
+  const auto semi0 = counter_value("stampede_db_plan_semi_join_total");
+  const auto scan0 = counter_value("stampede_db_plan_base_scan_total");
+  // The same shape as a LEFT OUTER join: a base row keeps its place
+  // without a partner, so the planner does not reduce through it.
+  const auto rs = d.execute(db::Select{"steps"}
+                                .left_join("batches", "batch", "batch_id")
+                                .where(db::eq("batches.label", Value{"L3"}))
+                                .columns({"steps.step_id", "batches.label"}));
+  EXPECT_EQ(counter_value("stampede_db_plan_semi_join_total"), semi0);
+  EXPECT_EQ(counter_value("stampede_db_plan_base_scan_total"), scan0 + 1);
+  EXPECT_EQ(rs.size(), 80u);
+}
+
 TEST(Planner, PlansAgreeWithEachOtherRowForRow) {
-  // The same join + filter query above and below the INL threshold, and
-  // with / without pushdown-friendly shape, must return identical rows.
+  // The same join + filter query on an archive and on a copy padded with
+  // rows the filter excludes must return identical rows. (Both now take
+  // the hash join with pushdown; tests/test_planner.cpp compares plans
+  // that differ.)
   db::Database small;
   db::Database large;
   for (db::Database* d : {&small, &large}) {
@@ -360,8 +428,8 @@ TEST(Planner, PlansAgreeWithEachOtherRowForRow) {
                             {"state", Value{i % 4 ? "EXECUTE" : "FAIL"}},
                             {"dur", Value{1.0 * (i % 7)}}});
   }
-  // Pad `large` past the INL threshold with rows the filter excludes, so
-  // both archives must produce the same matching set via different plans.
+  // Pad `large` with rows the filter excludes, so both archives must
+  // produce the same matching set.
   for (int i = 0; i < 100; ++i) {
     large.insert("events", {{"batch", Value{1}},  // label L0: filtered out
                             {"state", Value{"PAD"}},

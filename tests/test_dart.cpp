@@ -14,6 +14,7 @@
 #include "dart/workload.hpp"
 #include "query/analyzer.hpp"
 #include "query/statistics.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace dart = stampede::dart;
 namespace db = stampede::db;
@@ -334,6 +335,68 @@ TEST(DartExperiment, RetainedBpLogReplaysIdentically) {
         << table;
   }
   std::filesystem::remove(path);
+}
+
+// The dashboard pages of a real archive are the planner's oracle: the
+// ORM's secondary indexes let statistics and analyzer queries start from
+// the selective side (semi-join reduction, index joins), while an
+// index-free copy of the same rows can only scan and hash-join. Every
+// page must render byte-identically either way.
+TEST(DartExperiment, PagesRenderIdenticallyWithoutSecondaryIndexes) {
+  db::Database indexed;
+  dart::DartConfig config = small_config();
+  config.total_executions = 48;
+  config.failure_rate = 0.25;
+  dart::DartExperimentOptions options;
+  options.cloud.nodes = 3;
+  (void)dart::run_dart_experiment(config, indexed, options);
+
+  db::Database scan_only;
+  for (const auto& table : indexed.table_names()) {
+    db::TableDef def = indexed.table_def(table);
+    def.indexes.clear();
+    scan_only.create_table(def);
+    indexed.for_each_row(table, [&](db::RowId, const db::Row& row) {
+      db::NamedValues values;
+      for (std::size_t c = 0; c < def.columns.size(); ++c) {
+        values.emplace_back(def.columns[c].name, row[c]);
+      }
+      scan_only.insert(table, values);
+    });
+  }
+
+  const auto render_pages = [](const db::Database& archive) {
+    const query::QueryInterface q{archive};
+    const query::StampedeStatistics stats{q};
+    const query::StampedeAnalyzer analyzer{q};
+    std::vector<std::string> pages;
+    const auto ids = archive.execute(
+        db::Select{"workflow"}.columns({"wf_id"}).order_by("wf_id"));
+    for (const auto& row : ids.rows) {
+      const std::int64_t wf = row[0].as_int();
+      pages.push_back(
+          query::StampedeStatistics::render_summary(stats.summary(wf)) +
+          query::StampedeStatistics::render_jobs_invocations(stats.jobs(wf)) +
+          query::StampedeAnalyzer::render(analyzer.analyze(wf)));
+    }
+    return pages;
+  };
+  auto& semi_joins = stampede::telemetry::registry().counter(
+      "stampede_db_plan_semi_join_total");
+  [[maybe_unused]] const auto semi0 = semi_joins.value();
+  const auto with_indexes = render_pages(indexed);
+  [[maybe_unused]] const auto semi1 = semi_joins.value();
+  const auto without = render_pages(scan_only);
+
+  ASSERT_EQ(with_indexes.size(), 7u);  // Root + 48 / 8 bundles.
+  ASSERT_EQ(with_indexes.size(), without.size());
+  for (std::size_t i = 0; i < with_indexes.size(); ++i) {
+    EXPECT_EQ(with_indexes[i], without[i]) << "workflow #" << i;
+  }
+#ifndef STAMPEDE_TELEMETRY_DISABLED
+  EXPECT_GT(semi1, semi0);
+  EXPECT_EQ(semi_joins.value(), semi1);  // No index, no reduction.
+#endif
 }
 
 // ---------------------------------------------------------------------------
