@@ -16,9 +16,9 @@
 
 namespace stampede::bus {
 
-/// Routing-key prefix of the tracer's own span events (DESIGN.md §11).
-/// Messages under it are never traced — the self-amplification guard
-/// that keeps span re-publication from spawning spans about spans.
+/// Routing-key prefix of span events (DESIGN.md §11). Messages under it
+/// are never traced — the self-amplification guard that keeps span
+/// events fed in from outside from spawning spans about spans.
 inline constexpr std::string_view kTraceEventPrefix = "stampede.trace.";
 
 [[nodiscard]] inline bool is_trace_event(std::string_view routing_key) {

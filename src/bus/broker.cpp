@@ -207,14 +207,6 @@ bool Broker::has_queue(const std::string& name) const {
   return queues_.find(name) != queues_.end();
 }
 
-std::vector<std::string> Broker::queue_names() const {
-  const std::scoped_lock lock{mutex_};
-  std::vector<std::string> names;
-  names.reserve(queues_.size());
-  for (const auto& [name, entry] : queues_) names.push_back(name);
-  return names;
-}
-
 std::size_t Broker::publish(const std::string& exchange, Message message) {
   if (closed_.load()) return 0;
   // A message from a peer without the TRACE wire field still carries its

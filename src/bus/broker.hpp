@@ -123,7 +123,6 @@ class Broker : public IBus {
             const std::string& binding_key) override;
 
   [[nodiscard]] bool has_queue(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> queue_names() const;
 
   // -- publish --------------------------------------------------------------
 

@@ -12,6 +12,14 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// Events routed but not yet acked by a shard host before process()
+/// blocks (the end-to-end backpressure bound).
+constexpr std::size_t kMaxInflight = 8192;
+/// Most events packed into one kClusterApply frame per shard.
+constexpr std::size_t kApplyBatchMax = 64;
+/// finish() waits this long for the fleet to drain before giving up.
+constexpr auto kDrainTimeout = 60000ms;
+
 struct RouterTelemetry {
   telemetry::Counter& events_routed =
       telemetry::registry().counter("stampede_cluster_events_routed_total");
@@ -131,9 +139,9 @@ bool Router::process(const nl::LogRecord& record,
   for (;;) {
     {
       std::unique_lock lock{inflight_mutex_};
-      if (inflight_.size() < options_.max_inflight) break;
+      if (inflight_.size() < kMaxInflight) break;
       inflight_cv_.wait_for(lock, 200ms);
-      if (inflight_.size() < options_.max_inflight) break;
+      if (inflight_.size() < kMaxInflight) break;
     }
     for (auto& peer : peers_) ensure_alive(*peer);
   }
@@ -151,7 +159,7 @@ bool Router::process(const nl::LogRecord& record,
     const std::scoped_lock lock{batches_mutex_};
     auto& batch = batches_[shard];
     batch.push_back(ApplyItem{record, redelivered, tag});
-    full = batch.size() >= options_.apply_batch_max;
+    full = batch.size() >= kApplyBatchMax;
   }
   router_telemetry().events_routed.inc();
   if (full) flush_shard(shard);
@@ -211,8 +219,7 @@ void Router::finish() {
   }
   send_flush_hints();
 
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   auto next_hint = std::chrono::steady_clock::now() + 500ms;
   const auto drained = [this] {
     return inflight_.empty() && ack_callbacks_running_ == 0;
@@ -305,9 +312,9 @@ void Router::do_failover(Peer& peer) {
   }
   for (auto& [shard, items] : replay) {
     for (std::size_t start = 0; start < items.size();
-         start += options_.apply_batch_max) {
+         start += kApplyBatchMax) {
       const std::size_t count =
-          std::min(options_.apply_batch_max, items.size() - start);
+          std::min(kApplyBatchMax, items.size() - start);
       const std::vector<ApplyItem> chunk{
           items.begin() + static_cast<std::ptrdiff_t>(start),
           items.begin() + static_cast<std::ptrdiff_t>(start + count)};

@@ -46,13 +46,9 @@
 namespace stampede::cluster {
 
 struct RouterOptions {
-  /// Events routed but not yet acked by a shard host before process()
-  /// blocks (the end-to-end backpressure bound).
-  std::size_t max_inflight = 8192;
-  /// Most events packed into one kClusterApply frame per shard.
-  std::size_t apply_batch_max = 64;
-  /// finish() waits this long for the fleet to drain before giving up.
-  int drain_timeout_ms = 60000;
+  /// Connect/backoff/request timing of each link to a shard host. The
+  /// in-flight window, apply batch size and drain timeout are constants
+  /// in router.cpp.
   net::ClientLink::Options link;
 };
 

@@ -68,7 +68,7 @@ ShardHost::Hosted& ShardHost::open_shard(std::size_t index) {
   // Unbounded queue: handle_apply runs on the reactor and must never
   // block; the router's in-flight window bounds the backlog.
   hosted->lane = std::make_unique<loader::Lane>(
-      *hosted->db, options_.loader, /*capacity=*/0,
+      *hosted->db, loader::LoaderOptions{}, /*capacity=*/0,
       [this, h] { flush_acks(*h); });
   hosted->lane->loader().set_ack_callback([h](std::uint64_t tag) {
     // Fires on the lane thread (inside process/flush); flushed to the
@@ -108,7 +108,6 @@ void ShardHost::start_compactor() {
   }
   if (shards.empty()) return;
   db::CompactorOptions copts;
-  copts.seal = options_.seal;
   copts.interval_ms = options_.compact_interval_ms;
   const std::scoped_lock lock{compactor_mutex_};
   compactor_.reset();  // Join the old sweep before re-targeting shards.

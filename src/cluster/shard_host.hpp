@@ -72,16 +72,14 @@ struct ShardHostOptions {
   bool follower = false;
   /// Stream each hosted shard's WAL to this replica (active mode).
   std::optional<HostAddr> follower_addr;
-  loader::LoaderOptions loader;
   /// How long an apply ack may wait on the follower's replication ack
   /// before it is released anyway (counted as a stall).
   int replication_ack_timeout_ms = 5000;
   std::size_t query_threads = 2;
   /// Background columnar compaction sweep period for hosted shards
-  /// (db::Compactor, DESIGN.md §15). 0 disables compaction.
+  /// (db::Compactor with default SealOptions, DESIGN.md §15). 0
+  /// disables compaction.
   std::uint64_t compact_interval_ms = 0;
-  /// Seal tuning for the compactor (ignored when disabled).
-  db::SealOptions seal;
 };
 
 class ShardHost {

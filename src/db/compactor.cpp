@@ -75,10 +75,6 @@ StorageShard::CompactStats Compactor::run_once() {
       tally.live += counts.live;
       tally.dead += counts.dead;
     }
-    if (options_.checkpoint_wal &&
-        (stats.rows_sealed > 0 || stats.tombstones_reclaimed > 0)) {
-      shard->checkpoint_wal();
-    }
   }
 
   auto& registry = telemetry::registry();

@@ -27,10 +27,6 @@ struct CompactorOptions {
   SealOptions seal;
   /// Sweep period. Every interval the compactor visits each shard once.
   std::uint64_t interval_ms = 200;
-  /// After a pass that sealed rows or reclaimed tombstones, snapshot
-  /// each WAL-backed shard so recovery replays from the compacted
-  /// image instead of the full history (StorageShard::checkpoint_wal).
-  bool checkpoint_wal = false;
 };
 
 /// Owns the sweep thread. Construction starts it; destruction (or

@@ -94,9 +94,6 @@ struct SealOptions {
   std::size_t hot_tail_rows = 256;
   /// Large ranges are chopped into segments of ~this many slots.
   std::size_t target_segment_rows = 4096;
-  /// Extra columns (by name) to build range indexes for; declared kReal
-  /// columns (timestamps) always get one.
-  std::vector<std::string> range_index_columns;
 };
 
 struct SealStats {

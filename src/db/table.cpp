@@ -266,17 +266,10 @@ SealStats Table::seal(const SealOptions& opts) {
   const RowId sealable_hi = total - hot;  // Slots below stay sealable.
   if (sealable_hi <= 0) return stats;
 
-  // Range indexes: declared REAL columns (timestamps) plus any extras.
+  // Range indexes: declared REAL columns (timestamps).
   std::vector<std::size_t> range_cols;
   for (std::size_t c = 0; c < def_.columns.size(); ++c) {
     if (def_.columns[c].type == ColumnType::kReal) range_cols.push_back(c);
-  }
-  for (const auto& name : opts.range_index_columns) {
-    const auto c = def_.column_index(name);
-    if (c && std::find(range_cols.begin(), range_cols.end(), *c) ==
-                 range_cols.end()) {
-      range_cols.push_back(*c);
-    }
   }
 
   // Uncovered gaps below the hot tail, left to right. A gap in front of

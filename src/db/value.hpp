@@ -89,10 +89,13 @@ struct std::hash<stampede::db::Value> {
     if (v.is_int()) return std::hash<std::int64_t>{}(v.as_int());
     if (v.is_real()) {
       // Hash integral-valued reals like their int counterpart so mixed
-      // int/real keys that compare equal also hash equal.
+      // int/real keys that compare equal also hash equal. The cast is
+      // defined only inside int64's range, which NaN and ±inf fail.
       const double d = v.as_real();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) return std::hash<std::int64_t>{}(i);
+      if (d >= -0x1p63 && d < 0x1p63) {
+        const auto i = static_cast<std::int64_t>(d);
+        if (static_cast<double>(i) == d) return std::hash<std::int64_t>{}(i);
+      }
       return std::hash<double>{}(d);
     }
     return std::hash<std::string>{}(v.as_text());

@@ -5,6 +5,12 @@
 
 namespace stampede::loader {
 
+namespace {
+/// Depth of each lane's hand-off queue; the dispatcher blocks when a
+/// lane falls this far behind (backpressure).
+constexpr std::size_t kLaneQueueCapacity = 4096;
+}  // namespace
+
 ShardedLoader::LaneSlot::LaneSlot(db::StorageShard& shard,
                                   const LoaderOptions& options,
                                   std::size_t index)
@@ -13,7 +19,7 @@ ShardedLoader::LaneSlot::LaneSlot(db::StorageShard& shard,
       dispatched(telemetry::registry().counter(telemetry::labeled(
           "stampede_loader_lane_events_total", "lane",
           std::to_string(index)))),
-      lane(shard, options, options.lane_queue_capacity,
+      lane(shard, options, kLaneQueueCapacity,
            [this] { depth.set(static_cast<std::int64_t>(lane.depth())); }) {}
 
 ShardedLoader::ShardedLoader(db::ShardedDatabase& database,

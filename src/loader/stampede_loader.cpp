@@ -13,6 +13,11 @@ namespace ev = nl::events;
 namespace attr = nl::events::attr;
 using db::Value;
 
+namespace {
+/// A deferred event is dropped after this many replay attempts.
+constexpr std::size_t kMaxDeferRounds = 64;
+}  // namespace
+
 void LoaderStats::merge(const LoaderStats& other) {
   events_seen += other.events_seen;
   events_loaded += other.events_loaded;
@@ -894,7 +899,7 @@ void StampedeLoader::replay_deferred() {
         if (item.ack_tag != 0) awaiting_ack_.push_back(item.ack_tag);
         progress = true;
       } else if (outcome == Outcome::kDefer) {
-        if (++item.rounds >= options_.max_defer_rounds) {
+        if (++item.rounds >= kMaxDeferRounds) {
           ++stats_.events_dropped;
           tele_.dropped.inc();
           ack_now(item.ack_tag);

@@ -61,8 +61,6 @@ inline constexpr std::string_view kTerminated = "WORKFLOW_TERMINATED";
 struct LoaderOptions {
   bool validate = true;        ///< Run YANG validation on every event.
   std::size_t batch_size = 256;
-  std::size_t max_defer_rounds = 64;  ///< Give up on a deferred event after
-                                      ///< this many replay attempts.
   /// Log a warning (and count it) when the deferred-replay queue grows
   /// past this depth — sustained growth means the event stream is badly
   /// reordered or referents are missing. 0 disables the warning.
@@ -73,10 +71,6 @@ struct LoaderOptions {
   /// orphaned events can never grow memory without bound. 0 disables
   /// the cap.
   std::size_t defer_max = 65536;
-  /// Depth of each ShardedLoader lane's hand-off queue; the dispatcher
-  /// blocks when a lane falls this far behind (backpressure). Shard
-  /// host lanes are unbounded (the router's window bounds them).
-  std::size_t lane_queue_capacity = 4096;
   /// Age-based flush deadline: applied-but-uncommitted work (batched
   /// rows, unreleased acks) is force-flushed once the oldest piece has
   /// waited this long — so a trickling event stream that never fills a

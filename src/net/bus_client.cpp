@@ -39,6 +39,20 @@ ClientTelemetry& client_telemetry() {
 constexpr std::uint64_t kTagMask = (std::uint64_t{1} << 48) - 1;
 constexpr int kEpochShift = 48;
 
+/// How long a request/reply op (declare, bind, stats) waits for its
+/// reply before retrying on the next connection.
+constexpr int kRequestTimeoutMs = 5000;
+/// Deliveries buffered per consumed queue before the link's reader
+/// stops reading the socket (the client half of the backpressure
+/// chain).
+constexpr std::size_t kPrefetch = 64;
+/// Heartbeat cadence; keeps the server's idle timeout at bay.
+constexpr std::chrono::milliseconds kHeartbeatInterval{1000};
+/// Acks buffered before an eager kAck flush (they also flush when the
+/// next delivery arrives, on every IO-thread tick and before any
+/// request/reply op).
+constexpr std::size_t kAckBatchMax = 64;
+
 }  // namespace
 
 BusClient::BusClient(BusClientOptions options) : options_(std::move(options)) {
@@ -79,9 +93,7 @@ void BusClient::close() {
 void BusClient::run(const std::stop_token& stop) {
   ClientLinkOptions link_options;
   link_options.connect_attempts = 0;  // A bus client never gives up.
-  link_options.backoff_ms = options_.reconnect_initial_ms;
-  link_options.max_backoff_ms = options_.reconnect_max_ms;
-  link_options.request_timeout_ms = options_.request_timeout_ms;
+  link_options.request_timeout_ms = kRequestTimeoutMs;
   const common::HostAddr addr{options_.host, options_.port};
   while (!stop.stop_requested()) {
     std::unique_ptr<ClientLink> link;
@@ -91,9 +103,9 @@ void BusClient::run(const std::stop_token& stop) {
       // Stopped, or a peer that refuses the handshake: wait the longest
       // backoff before asking again.
       std::unique_lock lock{state_mutex_};
-      state_cv_.wait_for(lock,
-                         std::chrono::milliseconds(options_.reconnect_max_ms),
-                         [&] { return stop.stop_requested(); });
+      state_cv_.wait_for(
+          lock, std::chrono::milliseconds(link_options.max_backoff_ms),
+          [&] { return stop.stop_requested(); });
       continue;
     }
     epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -175,8 +187,7 @@ void BusClient::tick(ClientLink& link, const std::stop_token& stop) {
     // coalescing adds at most one tick of latency.
     flush_acks();
     const auto now = Clock::now();
-    if (now - last_heartbeat >=
-        std::chrono::milliseconds(options_.heartbeat_interval_ms)) {
+    if (now - last_heartbeat >= kHeartbeatInterval) {
       last_heartbeat = now;
       (void)link.send(encode_heartbeat());
     }
@@ -418,7 +429,7 @@ bool BusClient::ack(const std::string& queue, std::uint64_t delivery_tag) {
   {
     const std::scoped_lock lock{ack_mutex_};
     ack_pending_.push_back(WireAck{queue, delivery_tag});
-    eager = ack_pending_.size() >= options_.ack_batch_max;
+    eager = ack_pending_.size() >= kAckBatchMax;
   }
   if (eager) flush_acks();
   return true;
@@ -477,7 +488,7 @@ std::shared_ptr<BusClient::Buffer> BusClient::buffer_for(
   const std::scoped_lock lock{state_mutex_};
   auto it = buffers_.find(queue);
   if (it != buffers_.end()) return it->second;
-  auto buffer = std::make_shared<Buffer>(options_.prefetch);
+  auto buffer = std::make_shared<Buffer>(kPrefetch);
   buffers_.emplace(queue, buffer);
   return buffer;
 }

@@ -58,25 +58,12 @@
 
 namespace stampede::net {
 
+/// Where the broker listens. Reconnect backoff is ClientLinkOptions'
+/// default; request timeout, prefetch depth, heartbeat cadence and ack
+/// batch size are constants in bus_client.cpp.
 struct BusClientOptions {
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Exponential backoff between reconnect attempts.
-  int reconnect_initial_ms = 50;
-  int reconnect_max_ms = 2000;
-  /// How long a request/reply op (declare, bind, stats) waits for its
-  /// reply before retrying on the next connection.
-  int request_timeout_ms = 5000;
-  /// Deliveries buffered per consumed queue before the link's reader
-  /// stops reading the socket (the client half of the backpressure
-  /// chain).
-  std::size_t prefetch = 64;
-  /// Heartbeat cadence; keeps the server's idle timeout at bay.
-  int heartbeat_interval_ms = 1000;
-  /// Acks buffered before an eager kAck flush (they also flush when
-  /// the next delivery arrives, on every IO-thread tick and before any
-  /// request/reply op).
-  std::size_t ack_batch_max = 64;
 };
 
 class BusClient final : public bus::IBus {

@@ -14,6 +14,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Most deliveries a pump packs into one kDeliver frame.
+constexpr std::size_t kDeliverBatchMax = 64;
+/// A heartbeat frame is sent when the outbound side is idle this long.
+constexpr std::int64_t kHeartbeatIntervalMs = 5000;
+/// A peer with no inbound traffic (not even heartbeats) for this long
+/// is dropped and its in-flight deliveries nacked.
+constexpr std::int64_t kIdleTimeoutMs = 30000;
+/// The sweep runs at a quarter of the shorter horizon, the heartbeat.
+constexpr std::chrono::milliseconds kSweepPeriod{kHeartbeatIntervalMs / 4};
+
 struct ServerTelemetry {
   telemetry::Gauge& active =
       telemetry::registry().gauge("stampede_net_connections_active");
@@ -90,8 +100,6 @@ struct BusServer::ServerConn {
 BusServer::BusServer(bus::Broker& broker, BusServerOptions options)
     : broker_(&broker), options_(std::move(options)) {
   options_.workers = std::max<std::size_t>(options_.workers, 1);
-  options_.deliver_batch_max =
-      std::max<std::size_t>(options_.deliver_batch_max, 1);
   listen_fd_ =
       common::listen_tcp(options_.host, options_.port, /*backlog=*/512,
                          &port_);
@@ -343,7 +351,7 @@ void BusServer::start_consumer_pump(const std::shared_ptr<ServerConn>& sconn,
       // in one DELIVER frame and one send.
       std::vector<bus::Delivery> batch;
       batch.push_back(std::move(*first));
-      while (batch.size() < options_.deliver_batch_max) {
+      while (batch.size() < kDeliverBatchMax) {
         auto more = broker_->basic_get(queue, sconn->tag, 0);
         if (!more) break;
         batch.push_back(std::move(*more));
@@ -364,13 +372,7 @@ void BusServer::start_consumer_pump(const std::shared_ptr<ServerConn>& sconn,
 }
 
 void BusServer::sweep_worker(EventLoop& loop) {
-  const int horizon =
-      options_.idle_timeout_ms > 0
-          ? std::min(options_.heartbeat_interval_ms, options_.idle_timeout_ms)
-          : options_.heartbeat_interval_ms;
-  const auto period = std::chrono::milliseconds(
-      std::max(10, horizon / 4));
-  loop.schedule_every(period, [this, &loop] {
+  loop.schedule_every(kSweepPeriod, [this, &loop] {
     auto& tele = server_telemetry();
     std::vector<std::shared_ptr<ServerConn>> mine;
     {
@@ -382,15 +384,14 @@ void BusServer::sweep_worker(EventLoop& loop) {
     const std::int64_t now = now_ms();
     for (const auto& sconn : mine) {
       if (sconn->conn->closed()) continue;
-      if (options_.idle_timeout_ms > 0 &&
-          now - sconn->last_inbound_ms.load(std::memory_order_relaxed) >
-              options_.idle_timeout_ms) {
+      if (now - sconn->last_inbound_ms.load(std::memory_order_relaxed) >
+          kIdleTimeoutMs) {
         tele.idle_drops.inc();
         sconn->conn->close();
         continue;
       }
       if (now - sconn->last_outbound_ms.load(std::memory_order_relaxed) >=
-          options_.heartbeat_interval_ms) {
+          kHeartbeatIntervalMs) {
         tele.heartbeats.inc();
         sconn->send(encode_heartbeat());
       }

@@ -52,6 +52,8 @@ namespace stampede::net {
 
 class Connection;
 
+/// The heartbeat interval, idle timeout and delivery batch size are
+/// constants in bus_server.cpp.
 struct BusServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  ///< 0 = ephemeral; read back with port().
@@ -60,13 +62,6 @@ struct BusServerOptions {
   /// Outbound BYTES buffered per connection before the consumer pumps
   /// block (the backpressure bound).
   std::size_t outbound_capacity = 1 << 20;
-  /// Most deliveries a pump packs into one kDeliver frame.
-  std::size_t deliver_batch_max = 64;
-  /// A heartbeat frame is sent when the outbound side is idle this long.
-  int heartbeat_interval_ms = 5000;
-  /// A peer with no inbound traffic (not even heartbeats) for this long
-  /// is dropped and its in-flight deliveries nacked. 0 = never.
-  int idle_timeout_ms = 30000;
 };
 
 class BusServer {

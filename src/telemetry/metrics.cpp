@@ -43,16 +43,12 @@ std::size_t Histogram::bucket_index(double value) const noexcept {
 }
 
 void Histogram::observe(double value) noexcept {
-#ifndef STAMPEDE_TELEMETRY_DISABLED
   if (!enabled()) return;
   if (std::isnan(value)) return;
   if (value < 0.0) value = 0.0;
   buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-#else
-  (void)value;
-#endif
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

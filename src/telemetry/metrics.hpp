@@ -11,9 +11,9 @@
 // construction time and plain relaxed atomics afterwards.
 //
 // Cost model: every mutation is a relaxed atomic RMW (plus one log2 for
-// histograms) behind a relaxed enabled() check. Building with
-// -DSTAMPEDE_TELEMETRY_DISABLED compiles all mutations out entirely;
-// bench/bench_telemetry_overhead.cpp quantifies both configurations.
+// histograms) behind a relaxed enabled() check;
+// bench/bench_telemetry_overhead.cpp quantifies it against the switch
+// turned off.
 
 #include <atomic>
 #include <cstdint>
@@ -40,11 +40,7 @@ inline std::atomic<bool>& enabled_flag() noexcept {
 /// every instrument mutation; flipping it off reduces telemetry to a
 /// single predictable branch per site.
 [[nodiscard]] inline bool enabled() noexcept {
-#ifdef STAMPEDE_TELEMETRY_DISABLED
-  return false;
-#else
   return detail::enabled_flag().load(std::memory_order_relaxed);
-#endif
 }
 
 inline void set_enabled(bool on) noexcept {
@@ -69,11 +65,7 @@ inline void set_enabled(bool on) noexcept {
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-#ifndef STAMPEDE_TELEMETRY_DISABLED
     if (enabled()) value_.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -89,24 +81,16 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
-#ifndef STAMPEDE_TELEMETRY_DISABLED
     if (!enabled()) return;
     value_.store(v, std::memory_order_relaxed);
     raise_high_water(v);
-#else
-    (void)v;
-#endif
   }
 
   void add(std::int64_t delta) noexcept {
-#ifndef STAMPEDE_TELEMETRY_DISABLED
     if (!enabled()) return;
     const std::int64_t v =
         value_.fetch_add(delta, std::memory_order_relaxed) + delta;
     raise_high_water(v);
-#else
-    (void)delta;
-#endif
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {

@@ -13,8 +13,6 @@ struct TraceTelemetry {
   Counter& spans = registry().counter("stampede_trace_spans_total");
   Counter& sampled = registry().counter("stampede_trace_sampled_total");
   Counter& unsampled = registry().counter("stampede_trace_unsampled_total");
-  Counter& export_suppressed =
-      registry().counter("stampede_trace_export_suppressed_total");
   Gauge& sample_permille =
       registry().gauge("stampede_trace_sample_rate_permille");
 };
@@ -44,10 +42,6 @@ std::uint64_t rate_to_threshold(double rate) {
   if (rate >= 1.0) return UINT64_MAX;
   return static_cast<std::uint64_t>(rate * 18446744073709551616.0 /* 2^64 */);
 }
-
-/// True while the current thread is inside the export hook — recording
-/// from there would let re-published spans spawn further spans.
-thread_local bool g_in_export_hook = false;
 
 }  // namespace
 
@@ -132,31 +126,8 @@ double Tracer::wall_at(double steady_seconds) const {
 }
 
 void Tracer::record(Span span) {
-  if (g_in_export_hook) {
-    trace_telemetry().export_suppressed.inc();
-    return;
-  }
   trace_telemetry().spans.inc();
-  std::function<void(const Span&)> hook;
-  {
-    const std::lock_guard<std::mutex> lock{hook_mutex_};
-    hook = export_hook_;
-  }
-  if (hook) {
-    g_in_export_hook = true;
-    try {
-      hook(span);
-    } catch (...) {
-      // An exporter failure must never break the traced operation.
-    }
-    g_in_export_hook = false;
-  }
   sink_.record(std::move(span));
-}
-
-void Tracer::set_export_hook(std::function<void(const Span&)> hook) {
-  const std::lock_guard<std::mutex> lock{hook_mutex_};
-  export_hook_ = std::move(hook);
 }
 
 // ---------------------------------------------------------------------------

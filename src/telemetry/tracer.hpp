@@ -11,12 +11,11 @@
 // downstream. Error spans are always recorded, even when their trace
 // was not head-sampled — failed operations synthesize ids on the spot.
 //
-// The tracer is inert while telemetry is disabled (runtime kill-switch
-// or STAMPEDE_TELEMETRY_DISABLED): start_trace() returns an invalid
-// context and guards never record.
+// The tracer is inert while telemetry is disabled (the runtime
+// kill-switch): start_trace() returns an invalid context and guards
+// never record.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -64,15 +63,8 @@ class Tracer {
   [[nodiscard]] SpanSink& sink() noexcept { return sink_; }
   [[nodiscard]] const SpanSink& sink() const noexcept { return sink_; }
 
-  /// Records a finished span into the sink (and the export hook, if
-  /// set). Re-entrant calls made *from inside* the hook are dropped —
-  /// the self-amplification guard for span re-publication.
+  /// Records a finished span into the sink.
   void record(Span span);
-
-  /// Optional extra consumer of finished spans (e.g. re-publication as
-  /// BP events onto the bus). Pass nullptr to clear. Set before spans
-  /// flow; the hook runs on the recording thread.
-  void set_export_hook(std::function<void(const Span&)> hook);
 
  private:
   Tracer();
@@ -82,8 +74,6 @@ class Tracer {
   std::atomic<std::uint64_t> sample_threshold_;
   double wall_anchor_;    ///< Epoch seconds at anchor capture...
   double steady_anchor_;  ///< ...and the matching telemetry::now().
-  std::mutex hook_mutex_;
-  std::function<void(const Span&)> export_hook_;
 };
 
 inline constexpr double kDefaultSampleRate = 0.01;

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -504,4 +505,30 @@ TEST(GroupKeys, IntAndRealGroupSeparatelyNaNAndZeroSignHandled) {
   const auto distinct =
       d.execute(db::Select{"vals"}.columns({"v"}).distinct());
   EXPECT_EQ(distinct.size(), 6u);
+}
+
+TEST(GroupKeys, RealsOutsideInt64RangeHashAndGroup) {
+  // Reals the int64 cast cannot represent (NaN, ±inf, ±1e300) hash as
+  // doubles; build with -fsanitize=float-cast-overflow to see the cast
+  // stay in range. Integral reals inside it still hash like ints.
+  const std::hash<Value> hash;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double d : {std::nan(""), inf, -inf, 1e300, -1e300, 0x1p63}) {
+    EXPECT_EQ(hash(Value{d}), std::hash<double>{}(d)) << d;
+  }
+  EXPECT_EQ(hash(Value{1.0}), hash(Value{1}));
+  EXPECT_EQ(hash(Value{-0x1p63}),
+            hash(Value{std::numeric_limits<std::int64_t>::min()}));
+
+  db::TableDef t;
+  t.name = "vals";
+  t.columns = {{"v", db::ColumnType::kReal, false, std::nullopt}};
+  db::Database d;
+  d.create_table(t);
+  for (const double v : {inf, -inf, 1e300, -1e300, inf, 1e300}) {
+    d.insert("vals", {{"v", Value{v}}});
+  }
+  const auto rs =
+      d.execute(db::Select{"vals"}.group_by({"v"}).count_all("n"));
+  EXPECT_EQ(rs.size(), 4u);
 }
