@@ -43,6 +43,11 @@ void StorageShard::set_pk_allocation(std::int64_t offset, std::int64_t step) {
   }
 }
 
+std::int64_t StorageShard::reserve_pk(const std::string& table) {
+  const WriteGuard guard{*this};
+  return table_ref(table).reserve_pk();
+}
+
 void StorageShard::set_commit_latency_sink(telemetry::Histogram* sink) {
   const WriteGuard guard{*this};
   commit_latency_ = sink;
@@ -188,12 +193,21 @@ void StorageShard::wal_write(const std::string& line) {
     wal_buffer_.push_back(line);
     return;
   }
-  std::ofstream out{wal_path_, std::ios::app};
-  if (out) out << line << '\n';
-  if (wal_sink_) {
-    std::string shipped = line;
-    shipped += '\n';
-    wal_sink_(shipped);
+  std::string shipped = line;
+  shipped += '\n';
+  wal_append(shipped);
+  if (wal_sink_) wal_sink_(shipped);
+}
+
+void StorageShard::wal_append(std::string_view bytes) {
+  if (!wal_out_.is_open()) wal_out_.open(wal_path_, std::ios::app);
+  wal_out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // Flushed per commit: a process crash after commit() loses nothing.
+  wal_out_.flush();
+  if (!wal_out_) {
+    // Failed open or write: retry with a fresh open on the next append.
+    wal_out_.close();
+    wal_out_.clear();
   }
 }
 
@@ -508,8 +522,7 @@ void StorageShard::commit() {
         batch += line;
         batch += '\n';
       }
-      std::ofstream out{wal_path_, std::ios::app};
-      if (out) out << batch;
+      wal_append(batch);
       if (wal_sink_) wal_sink_(batch);
     }
     wal_buffer_.clear();
@@ -709,6 +722,9 @@ bool StorageShard::checkpoint_wal() {
       snapshot += '\n';
     });
   }
+  // The rename below replaces the file the append stream points at.
+  wal_out_.close();
+  wal_out_.clear();
   const std::string tmp = wal_path_ + ".ckpt";
   {
     std::ofstream out{tmp, std::ios::trunc};

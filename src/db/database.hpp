@@ -16,8 +16,8 @@
 //      table_version(s), in_transaction, wal_truncated_records) take a
 //      shared lock, so any number of statistics / analyzer / dashboard
 //      queries proceed concurrently against a shard; public write entry
-//      points (create_table, set_pk_allocation, insert, update,
-//      update_pk, delete_rows, recover) take the exclusive lock.
+//      points (create_table, set_pk_allocation, reserve_pk, insert,
+//      update, update_pk, delete_rows, recover) take the exclusive lock.
 //   2. A transaction owns the exclusive lock for its whole begin() →
 //      commit()/rollback() window (`txn_lock_`). Readers therefore see
 //      either all of a committed batch or none of it — the snapshot
@@ -32,9 +32,6 @@
 //      call; the `*_unlocked` internals assume the caller holds the
 //      right lock and never lock themselves, so no path locks twice
 //      (the lock is not recursive in either mode).
-//   4. set_exclusive_reads(true) degrades reads to the exclusive lock —
-//      the pre-overhaul single-mutex behaviour, kept selectable so
-//      bench_read_while_load can A/B the two disciplines in one binary.
 //
 // Supports transactions with rollback via an undo log, and an optional
 // write-ahead log file for crash recovery / reload.
@@ -43,6 +40,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -123,6 +121,12 @@ class StorageShard {
   /// (0, 1) — the default — is the ordinary single-shard sequence.
   /// Must be called before any inserts.
   void set_pk_allocation(std::int64_t offset, std::int64_t step);
+
+  /// Draws the next key of `table`'s strided primary-key sequence under
+  /// the exclusive lock (Table::reserve_pk), so a batched insert knows
+  /// its key before it is written. Throws common::DbError when the table
+  /// has no declared primary key.
+  std::int64_t reserve_pk(const std::string& table);
 
   /// Installs a per-shard commit-latency histogram (seconds from
   /// begin() to commit()); nullptr detaches. The histogram must outlive
@@ -295,6 +299,9 @@ class StorageShard {
   Table& table_ref(const std::string& name);
   const Table& table_ref(const std::string& name) const;
   void wal_write(const std::string& line);
+  /// Appends committed bytes to the WAL file through the shard's open
+  /// stream (opened on first use) and flushes them to the OS.
+  void wal_append(std::string_view bytes);
 
   /// One commit's worth of captured changes on its way out to the sink.
   struct StagedDelivery {
@@ -350,6 +357,9 @@ class StorageShard {
 
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::string wal_path_;
+  /// Append stream on wal_path_, kept open across commits; closed by
+  /// checkpoint_wal() so the next append opens the renamed-in file.
+  std::ofstream wal_out_;
   bool txn_active_ = false;
   bool replaying_ = false;
   std::vector<UndoOp> undo_log_;

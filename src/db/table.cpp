@@ -116,6 +116,15 @@ void Table::set_auto_increment(std::int64_t start, std::int64_t step) {
   auto_step_ = step;
 }
 
+std::int64_t Table::reserve_pk() {
+  if (!pk_col_) {
+    throw DbError("table " + def_.name + ": no primary key to reserve");
+  }
+  const std::int64_t key = next_auto_;
+  next_auto_ += auto_step_;
+  return key;
+}
+
 void Table::index_insert(RowId id, const Row& row) {
   if (pk_col_) pk_index_.emplace(row[*pk_col_], id);
   for (auto& [col, index] : secondary_) {

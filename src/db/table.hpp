@@ -42,6 +42,12 @@ class Table {
   /// sequence.
   void set_auto_increment(std::int64_t start, std::int64_t step);
 
+  /// Draws the next auto-assigned primary key (advancing the sequence
+  /// as an insert would), so a caller can queue the row with its key
+  /// already known. A drawn key that is never inserted stays skipped,
+  /// like the key of a rolled-back insert. The table must have a PK.
+  std::int64_t reserve_pk();
+
   /// Fetch by RowId; nullptr when deleted/nonexistent.
   [[nodiscard]] const Row* fetch(RowId id) const noexcept;
 

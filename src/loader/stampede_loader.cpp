@@ -100,13 +100,17 @@ std::optional<std::int64_t> StampedeLoader::resolve_wf(
     recovered_wfs_.insert(existing->as_int());
     return existing->as_int();
   }
-  // First reference anywhere: create a stub row that wf.plan will fill
+  // First reference anywhere: queue a stub row that wf.plan will fill
   // in. This makes the loader robust to a sub-workflow's events arriving
   // before the parent's plan event names it.
-  const std::int64_t id = session_.insert_now(
-      "workflow", {{"wf_uuid", Value{uuid->to_string()}}});
+  const std::int64_t id =
+      session_.add("workflow", {{"wf_uuid", Value{uuid->to_string()}}});
   wf_ids_.emplace(*uuid, id);
   return id;
+}
+
+bool StampedeLoader::fresh(std::int64_t wf) const {
+  return !redelivered_ && recovered_wfs_.count(wf) == 0;
 }
 
 std::optional<std::int64_t> StampedeLoader::resolve_job(
@@ -115,6 +119,8 @@ std::optional<std::int64_t> StampedeLoader::resolve_job(
                                                  std::string{exec_job_id}};
   const auto it = job_ids_.find(key);
   if (it != job_ids_.end()) return it->second;
+  // Every job of a fresh workflow was created by this loader and cached.
+  if (fresh(wf)) return std::nullopt;
   // exec_job_id leads the conjunction: the executor probes the first
   // indexed equality, and exec_job_id is far more selective than wf_id.
   const auto existing = session_.database().scalar(
@@ -139,20 +145,22 @@ std::optional<std::int64_t> StampedeLoader::resolve_job_instance(
   if (it != job_instance_ids_.end()) return it->second;
   const auto job = resolve_job(wf, exec_job_id);
   if (!job) return std::nullopt;
-  const auto existing = session_.database().scalar(
-      db::Select{"job_instance"}
-          .where(db::and_(db::eq("job_id", Value{*job}),
-                          db::eq("job_submit_seq", Value{submit_seq})))
-          .columns({"job_instance_id"}));
-  if (existing && existing->is_int()) {
-    job_instance_ids_.emplace(key, existing->as_int());
-    if (recovered_jis_.insert(existing->as_int()).second) {
-      seed_job_instance_state(existing->as_int());
+  if (!fresh(wf)) {
+    const auto existing = session_.database().scalar(
+        db::Select{"job_instance"}
+            .where(db::and_(db::eq("job_id", Value{*job}),
+                            db::eq("job_submit_seq", Value{submit_seq})))
+            .columns({"job_instance_id"}));
+    if (existing && existing->is_int()) {
+      job_instance_ids_.emplace(key, existing->as_int());
+      if (recovered_jis_.insert(existing->as_int()).second) {
+        seed_job_instance_state(existing->as_int());
+      }
+      return existing->as_int();
     }
-    return existing->as_int();
   }
   if (!create) return std::nullopt;
-  const std::int64_t id = session_.insert_now(
+  const std::int64_t id = session_.add(
       "job_instance",
       {{"job_id", Value{*job}}, {"job_submit_seq", Value{submit_seq}}});
   job_instance_ids_.emplace(key, id);
@@ -325,7 +333,9 @@ StampedeLoader::Outcome StampedeLoader::on_task_info(const nl::LogRecord& r) {
       return Outcome::kApplied;
     }
   }
-  session_.add("task", std::move(row));
+  const std::int64_t id = session_.add("task", std::move(row));
+  // First row wins, as the lowest task_id did for the indexed probe.
+  task_ids_.try_emplace({*wf, std::string{*task}}, id);
   return Outcome::kApplied;
 }
 
@@ -384,7 +394,7 @@ StampedeLoader::Outcome StampedeLoader::on_job_info(const nl::LogRecord& r) {
     session_.add_update_pk("job", *existing, std::move(row));
     return Outcome::kApplied;
   }
-  const std::int64_t id = session_.insert_now("job", row);
+  const std::int64_t id = session_.add("job", std::move(row));
   job_ids_.emplace(std::make_pair(*wf, std::string{*job}), id);
   return Outcome::kApplied;
 }
@@ -420,17 +430,26 @@ StampedeLoader::Outcome StampedeLoader::on_map_task_job(
   if (!wf || !task || !job) return Outcome::kError;
   const auto job_pk = resolve_job(*wf, *job);
   if (!job_pk) return Outcome::kDefer;
-  // Indexed probe (abs_task_id) + PK update: the loader's hottest
-  // structural event in clustered Pegasus workflows must not scan.
-  session_.flush();
-  const auto rs = session_.database().execute(
-      db::Select{"task"}
-          .where(db::and_(db::eq("abs_task_id", Value{std::string{*task}}),
-                          db::eq("wf_id", Value{*wf})))
-          .columns({"task_id"}));
-  if (rs.empty()) return Outcome::kDefer;
-  session_.add_update_pk("task", rs.at(0, "task_id").as_int(),
-                         {{"job_id", Value{*job_pk}}});
+  std::int64_t task_id = 0;
+  if (fresh(*wf)) {
+    // Every task of a fresh workflow was queued by on_task_info, which
+    // recorded its key: the loader's hottest structural event in
+    // clustered Pegasus workflows neither flushes nor queries.
+    const auto it = task_ids_.find({*wf, std::string{*task}});
+    if (it == task_ids_.end()) return Outcome::kDefer;
+    task_id = it->second;
+  } else {
+    // Indexed probe (abs_task_id) + PK update over the archive.
+    session_.flush();
+    const auto rs = session_.database().execute(
+        db::Select{"task"}
+            .where(db::and_(db::eq("abs_task_id", Value{std::string{*task}}),
+                            db::eq("wf_id", Value{*wf})))
+            .columns({"task_id"}));
+    if (rs.empty()) return Outcome::kDefer;
+    task_id = rs.at(0, "task_id").as_int();
+  }
+  session_.add_update_pk("task", task_id, {{"job_id", Value{*job_pk}}});
   return Outcome::kApplied;
 }
 
@@ -581,7 +600,7 @@ StampedeLoader::Outcome StampedeLoader::on_host_info(const nl::LogRecord& r) {
     if (const auto v = r.get_int(attr::kTotalMemory)) {
       row.emplace_back("total_memory", Value{*v});
     }
-    const std::int64_t id = session_.insert_now("host", row);
+    const std::int64_t id = session_.add("host", std::move(row));
     it = host_ids_.emplace(key, id).first;
   }
   db::NamedValues sets{{"host_id", Value{it->second}}};
@@ -811,7 +830,8 @@ void StampedeLoader::flush_hint() {
   if (!deferred_.empty()) replay_deferred();
   session_.flush();
   // Session::flush is a no-op (no hook) on an empty batch, but events
-  // whose rows all went through insert_now may still await their acks.
+  // that produced no rows (inv.start, pre.term, ...) may still await
+  // their acks.
   on_batch_commit();
 }
 

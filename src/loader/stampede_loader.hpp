@@ -195,7 +195,13 @@ class StampedeLoader final : public EventSink {
   Outcome on_host_info(const nl::LogRecord& r);
   Outcome on_inv_end(const nl::LogRecord& r);
 
-  // Identity resolution.
+  // Identity resolution. A *fresh* workflow is one this loader created
+  // (not recovered from the archive) seen through a first delivery:
+  // every row of it was queued here, so the id maps below answer every
+  // lookup and a miss means "not yet" — no flush, no DB probe.
+  // Recovered workflows and redelivered events flush and probe the
+  // archive instead.
+  [[nodiscard]] bool fresh(std::int64_t wf) const;
   std::optional<std::int64_t> resolve_wf(const nl::LogRecord& r);
   std::optional<std::int64_t> resolve_job(std::int64_t wf,
                                           std::string_view exec_job_id);
@@ -228,6 +234,9 @@ class StampedeLoader final : public EventSink {
   std::map<std::tuple<std::int64_t, std::string, std::int64_t>, std::int64_t>
       job_instance_ids_;
   std::map<std::pair<std::int64_t, std::string>, std::int64_t> host_ids_;
+  /// (wf_id, abs_task_id) → task_id, filled when on_task_info queues
+  /// the row; on_map_task_job reads it for fresh workflows.
+  std::map<std::pair<std::int64_t, std::string>, std::int64_t> task_ids_;
   std::unordered_map<std::int64_t, std::int64_t> jobstate_seq_;
   std::unordered_map<std::int64_t, double> execute_ts_;
   /// Identities resolved from a pre-existing (recovered) archive rather

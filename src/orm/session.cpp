@@ -36,10 +36,24 @@ Session::~Session() {
   }
 }
 
-void Session::add(std::string table, db::NamedValues values) {
+const std::string& Session::primary_key(const std::string& table) {
+  auto it = primary_keys_.find(table);
+  if (it == primary_keys_.end()) {
+    it = primary_keys_.emplace(table, db_->table_def(table).primary_key).first;
+  }
+  return it->second;
+}
+
+std::int64_t Session::add(std::string table, db::NamedValues values) {
+  std::int64_t key = 0;
+  if (const std::string& pk = primary_key(table); !pk.empty()) {
+    key = db_->reserve_pk(table);
+    values.emplace_back(pk, db::Value{key});
+  }
   pending_.emplace_back(InsertOp{std::move(table), std::move(values)});
   ++stats_.queued;
   if (pending_.size() >= batch_size_) flush();
+  return key;
 }
 
 void Session::add_update_pk(std::string table, std::int64_t pk,
@@ -47,14 +61,6 @@ void Session::add_update_pk(std::string table, std::int64_t pk,
   pending_.emplace_back(UpdatePkOp{std::move(table), pk, std::move(sets)});
   ++stats_.queued;
   if (pending_.size() >= batch_size_) flush();
-}
-
-std::int64_t Session::insert_now(const std::string& table,
-                                 const db::NamedValues& values) {
-  flush();
-  ++stats_.queued;
-  ++stats_.flushed_ops;
-  return db_->insert(table, values);
 }
 
 void Session::flush() {

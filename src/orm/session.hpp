@@ -4,13 +4,19 @@
 // Inserts and primary-key updates are queued in arrival order and flushed
 // in batches inside one transaction — the "batching similar inserts
 // together" optimization the paper credits for Pegasus-scale loading
-// performance (§V-D). Reads must call flush() (or use the flushing
-// helpers) to see queued state.
+// performance (§V-D). An insert into a table with a primary key draws
+// its key from the shard's sequence when it is queued, so callers that
+// need the key (workflow → wf_id used by every child row) never cut a
+// batch short. Keys are drawn in queue order, which is the order the
+// rows are written, so they match what an immediate insert would get.
+// Reads must call flush() (or use the flushing helpers) to see queued
+// state.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <variant>
 
 #include "db/database.hpp"
@@ -34,17 +40,15 @@ class Session {
 
   ~Session();
 
-  /// Queues an insert whose generated key nobody needs.
-  void add(std::string table, db::NamedValues values);
+  /// Queues an insert and returns its primary key, reserved now
+  /// (StorageShard::reserve_pk); `values` must not set the key. Returns
+  /// 0 for a table without a primary key. A batch that rolls back
+  /// leaves its reserved keys unused.
+  std::int64_t add(std::string table, db::NamedValues values);
 
   /// Queues an indexed single-row update by primary key.
   void add_update_pk(std::string table, std::int64_t pk,
                      db::NamedValues sets);
-
-  /// Flush-then-insert for rows whose generated primary key the caller
-  /// needs right away (e.g. workflow → wf_id used by every child row).
-  std::int64_t insert_now(const std::string& table,
-                          const db::NamedValues& values);
 
   /// Writes all pending operations, in order, inside one transaction.
   void flush();
@@ -83,11 +87,15 @@ class Session {
   };
   using Op = std::variant<InsertOp, UpdatePkOp>;
 
+  /// The primary-key column of `table` ("" when it has none), cached.
+  const std::string& primary_key(const std::string& table);
+
   db::Database* db_;
   std::size_t batch_size_;
   std::deque<Op> pending_;
   SessionStats stats_;
   std::function<void(std::size_t)> commit_hook_;
+  std::unordered_map<std::string, std::string> primary_keys_;
 };
 
 }  // namespace stampede::orm

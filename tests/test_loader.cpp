@@ -288,8 +288,9 @@ TEST_F(LoaderFixture, SubworkflowEventsBeforeParentPlanCreateStub) {
   start.set(attr::kXwfId, kSubWf);
   start.set(attr::kRestartCount, std::int64_t{0});
   EXPECT_TRUE(l.process(start));
-  EXPECT_EQ(database.row_count("workflow"), 1u);
   EXPECT_TRUE(l.wf_id(kSubWf).has_value());
+  l.flush_hint();  // The stub is queued like any row; commit it.
+  EXPECT_EQ(database.row_count("workflow"), 1u);
 
   // Parent plan names the child later; child row is reused, not duplicated.
   nl::LogRecord plan{2.0, std::string{ev::kWfPlan}};
@@ -749,4 +750,219 @@ TEST(LoaderFlushDeadline, DeadlineTracksOldestPendingAndDisablesAtZero) {
   EXPECT_FALSE(manual.flush_deadline_due());
   manual.finish();
   ldr.finish();
+}
+
+// ---------------------------------------------------------------------------
+// Full batches: keys reserved when a row is queued, fresh workflows
+// answered from the loader's own id maps
+
+#include <fstream>
+#include <iterator>
+
+#include "dart/experiment.hpp"
+#include "telemetry/metrics.hpp"
+
+namespace {
+
+/// A validator-complete stream of one workflow with `jobs` jobs: plan,
+/// start, then per job its task, job, mapping, submit, host, execute,
+/// invocation and end events, then the workflow end — 9 * jobs + 3
+/// events, every referent arriving before its first use.
+std::vector<nl::LogRecord> many_job_workflow(const Uuid& wf, int jobs) {
+  std::vector<nl::LogRecord> events;
+  double t = 5000.0;
+  const auto at = [&](std::string_view event) {
+    nl::LogRecord r{t += 0.001, std::string{event}};
+    r.set(attr::kXwfId, wf);
+    return r;
+  };
+  auto plan = at(ev::kWfPlan);
+  plan.set(attr::kDaxLabel, std::string{"wide"});
+  plan.set(attr::kUser, std::string{"alice"});
+  plan.set(attr::kPlanner, std::string{"stampede-cpp-1.0"});
+  events.push_back(plan);
+  auto start = at(ev::kXwfStart);
+  start.set(attr::kRestartCount, std::int64_t{0});
+  events.push_back(start);
+  for (int j = 0; j < jobs; ++j) {
+    const std::string name = "job" + std::to_string(j);
+    const auto ji = [&](std::string_view event) {
+      auto r = at(event);
+      r.set(attr::kJobId, name);
+      r.set(attr::kJobInstId, std::int64_t{1});
+      return r;
+    };
+    auto task = at(ev::kTaskInfo);
+    task.set(attr::kTaskId, name);
+    task.set(attr::kTransformation, name);
+    task.set(attr::kType, std::string{"compute"});
+    events.push_back(task);
+    auto job = at(ev::kJobInfo);
+    job.set(attr::kJobId, name);
+    job.set(attr::kType, std::string{"compute"});
+    job.set(attr::kTransformation, name);
+    events.push_back(job);
+    auto map = at(ev::kMapTaskJob);
+    map.set(attr::kTaskId, name);
+    map.set(attr::kJobId, name);
+    events.push_back(map);
+    auto submit = ji(ev::kJobInstSubmitStart);
+    submit.set(attr::kSchedId, "condor-" + std::to_string(j));
+    events.push_back(submit);
+    auto host = ji(ev::kJobInstHostInfo);
+    host.set(attr::kHostname, "worker" + std::to_string(j % 4));
+    host.set(attr::kSite, std::string{"cardiff"});
+    events.push_back(host);
+    events.push_back(ji(ev::kJobInstMainStart));
+    auto inv = ji(ev::kInvEnd);
+    inv.set(attr::kInvId, std::int64_t{1});
+    inv.set(attr::kTaskId, name);
+    inv.set(attr::kDur, 1.5);
+    inv.set(attr::kExitcode, std::int64_t{0});
+    inv.set(attr::kTransformation, name);
+    events.push_back(inv);
+    auto term = ji(ev::kJobInstMainTerm);
+    term.set(attr::kStatus, std::int64_t{0});
+    events.push_back(term);
+    auto done = ji(ev::kJobInstMainEnd);
+    done.set(attr::kExitcode, std::int64_t{0});
+    events.push_back(done);
+  }
+  auto end = at(ev::kXwfEnd);
+  end.set(attr::kRestartCount, std::int64_t{0});
+  end.set(attr::kStatus, std::int64_t{0});
+  events.push_back(end);
+  return events;
+}
+
+std::uint64_t plan_base_fetches() {
+  auto& r = stampede::telemetry::registry();
+  return r.counter("stampede_db_plan_base_index_total").value() +
+         r.counter("stampede_db_plan_base_scan_total").value();
+}
+
+/// Retains the BP log of a small DART run (Triana-driven sub-workflow
+/// tree) at `path`.
+void retain_dart_log(const std::filesystem::path& path) {
+  std::filesystem::remove(path);
+  stampede::dart::DartConfig config;
+  config.total_executions = 24;
+  config.tasks_per_bundle = 8;
+  config.tones_per_task = 2;
+  db::Database live;
+  stampede::dart::DartExperimentOptions options;
+  options.cloud.nodes = 3;
+  options.retain_log_path = path.string();
+  ASSERT_EQ(stampede::dart::run_dart_experiment(config, live, options).status,
+            0);
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, {}};
+}
+
+}  // namespace
+
+// A fresh workflow never cuts a batch short: the stub, job, job instance
+// and host keys are reserved when their rows are queued, and the
+// task/job/instance lookups hit the loader's maps. The only query is the
+// wf_uuid probe that decides the workflow is not in the archive.
+TEST(LoaderBatching, FreshWorkflowCommitsFullBatches) {
+  db::Database archive;
+  stampede::orm::create_stampede_schema(archive);
+  loader::LoaderOptions opts;
+  opts.flush_deadline_ms = 0;
+  loader::StampedeLoader l{archive, opts};
+  const auto events = many_job_workflow(kWf, 70);
+  ASSERT_GE(events.size(), 600u);
+
+  const std::uint64_t probes_before = plan_base_fetches();
+  for (const auto& event : events) ASSERT_TRUE(l.process(event));
+  EXPECT_EQ(plan_base_fetches() - probes_before, 1u);
+  l.finish();
+
+  const auto& session = l.session().stats();
+  EXPECT_EQ(session.flushed_ops, session.queued);
+  EXPECT_GT(session.queued, 2u * 256u);
+  EXPECT_EQ(session.flush_batches, (session.queued + 255) / 256);
+  EXPECT_EQ(l.stats().events_loaded, events.size());
+  EXPECT_EQ(l.stats().events_deferred, 0u);
+
+  // The rows landed under their reserved keys and link up.
+  EXPECT_EQ(archive.row_count("job"), 70u);
+  EXPECT_EQ(archive.row_count("job_instance"), 70u);
+  EXPECT_EQ(archive.row_count("host"), 4u);
+  const auto unmapped = archive.execute(
+      db::Select{"task"}.where(db::is_null("job_id")).columns({"task_id"}));
+  EXPECT_TRUE(unmapped.empty());
+  const auto linked = archive.execute(
+      db::Select{"job_instance"}
+          .join("job", "job_instance.job_id", "job_id")
+          .join("host", "job_instance.host_id", "host_id")
+          .where(db::eq("job.wf_id", Value{*l.wf_id(kWf)}))
+          .columns({"job_instance.job_instance_id"}));
+  EXPECT_EQ(linked.size(), 70u);
+}
+
+// Batch boundaries never show in the archive: one row per flush and one
+// 256-row batch write the same WAL bytes.
+TEST(LoaderBatching, WalIsByteIdenticalAcrossBatchSizes) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto log = dir / "stampede_test_loader_batching.bp";
+  retain_dart_log(log);
+  std::string wal[2];
+  const std::size_t batch_sizes[2] = {1, 256};
+  for (int i = 0; i < 2; ++i) {
+    const auto path = dir / ("stampede_test_loader_batching_" +
+                             std::to_string(batch_sizes[i]) + ".wal");
+    std::filesystem::remove(path);
+    {
+      db::Database archive{path.string()};
+      stampede::orm::create_stampede_schema(archive);
+      loader::LoaderOptions opts;
+      opts.batch_size = batch_sizes[i];
+      loader::StampedeLoader l{archive, opts};
+      for (const auto& event : many_job_workflow(kWf, 40)) l.process(event);
+      const auto pump = loader::load_file(log.string(), l);
+      EXPECT_EQ(pump.parse_errors, 0u);
+      EXPECT_EQ(l.stats().events_dropped, 0u);
+    }
+    wal[i] = slurp(path);
+    std::filesystem::remove(path);
+  }
+  std::filesystem::remove(log);
+  EXPECT_GT(wal[0].size(), 0u);
+  EXPECT_EQ(wal[0], wal[1]);
+}
+
+// Reservation draws from each shard's strided sequence, so every key a
+// lane assigns names its shard: (key - 1) mod 2 is the shard.
+TEST(LoaderBatching, ReservedKeysStayInTheirShardsCongruenceClass) {
+  db::ShardedDatabase archive{2};
+  stampede::orm::create_stampede_schema(archive);
+  loader::ShardedLoader l{archive};
+  for (int w = 0; w < 8; ++w) {
+    const Uuid wf = *Uuid::parse("00000000-0000-4000-8000-00000000000" +
+                                 std::to_string(w));
+    for (const auto& event : many_job_workflow(wf, 5)) l.process(event);
+  }
+  l.finish();
+  EXPECT_EQ(l.stats().events_dropped, 0u);
+  for (std::size_t s = 0; s < archive.shard_count(); ++s) {
+    const db::StorageShard& shard = archive.shard(s);
+    std::size_t keyed_rows = 0;
+    for (const auto& table : shard.table_names()) {
+      const db::TableDef& def = shard.table_def(table);
+      if (def.primary_key.empty()) continue;
+      const auto col = def.column_index(def.primary_key);
+      ASSERT_TRUE(col.has_value());
+      shard.for_each_row(table, [&](db::RowId, const db::Row& row) {
+        ++keyed_rows;
+        EXPECT_EQ((row[*col].as_int() - 1) % 2, static_cast<std::int64_t>(s))
+            << table << " key " << row[*col].as_int() << " on shard " << s;
+      });
+    }
+    EXPECT_GT(keyed_rows, 0u) << "shard " << s << " got no workflow";
+  }
 }

@@ -110,21 +110,63 @@ TEST(Session, ExplicitFlush) {
   EXPECT_EQ(session.stats().flush_batches, 1u);
 }
 
-TEST(Session, InsertNowFlushesAndReturnsKey) {
+TEST(Session, AddReservesKeysInQueueOrder) {
   db::Database d;
   orm::create_stampede_schema(d);
   orm::Session session{d, 100};
-  session.add("workflow", {{"wf_uuid", Value{"u-1"}}});
-  const auto wf2 = session.insert_now("workflow", {{"wf_uuid", Value{"u-2"}}});
-  EXPECT_EQ(wf2, 2);  // u-1 was flushed first, so u-2 got the next key.
-  EXPECT_EQ(d.row_count("workflow"), 2u);
+  // Each table draws from its own sequence, in the order rows are queued.
+  const auto wf1 = session.add("workflow", {{"wf_uuid", Value{"u-1"}}});
+  const auto job1 = session.add(
+      "job", {{"wf_id", Value{wf1}}, {"exec_job_id", Value{"j1"}}});
+  const auto wf2 = session.add("workflow", {{"wf_uuid", Value{"u-2"}}});
+  const auto job2 = session.add(
+      "job", {{"wf_id", Value{wf2}}, {"exec_job_id", Value{"j2"}}});
+  EXPECT_EQ(wf1, 1);
+  EXPECT_EQ(job1, 1);
+  EXPECT_EQ(wf2, 2);
+  EXPECT_EQ(job2, 2);
+  // Reserved, not written: nothing is visible before the flush.
+  EXPECT_EQ(d.row_count("workflow"), 0u);
+  EXPECT_EQ(d.row_count("job"), 0u);
+  session.flush();
+  const auto job2_wf = d.scalar(db::Select{"job"}
+                                    .where(db::eq("job_id", Value{job2}))
+                                    .columns({"wf_id"}));
+  ASSERT_TRUE(job2_wf.has_value());
+  EXPECT_EQ(job2_wf->as_int(), wf2);
+  const auto wf2_uuid = d.scalar(db::Select{"workflow"}
+                                     .where(db::eq("wf_id", Value{wf2}))
+                                     .columns({"wf_uuid"}));
+  ASSERT_TRUE(wf2_uuid.has_value());
+  EXPECT_EQ(wf2_uuid->as_text(), "u-2");
+
+  // A batch that rolls back leaves its keys unused, exactly as the same
+  // inserts made directly inside a rolled-back transaction do.
+  EXPECT_EQ(session.add("workflow", {{"wf_uuid", Value{"u-3"}}}), 3);
+  EXPECT_EQ(session.add("workflow", {{"wf_uuid", Value{"u-1"}}}), 4);  // Dup.
+  EXPECT_THROW(session.flush(), stampede::common::DbError);
+  session.discard();
+  EXPECT_EQ(session.add("workflow", {{"wf_uuid", Value{"u-5"}}}), 5);
+  session.flush();
+
+  db::Database direct;
+  orm::create_stampede_schema(direct);
+  direct.insert("workflow", {{"wf_uuid", Value{"u-1"}}});
+  direct.insert("workflow", {{"wf_uuid", Value{"u-2"}}});
+  direct.begin();
+  direct.insert("workflow", {{"wf_uuid", Value{"u-3"}}});
+  EXPECT_THROW(direct.insert("workflow", {{"wf_uuid", Value{"u-1"}}}),
+               stampede::common::DbError);
+  direct.rollback();
+  EXPECT_EQ(direct.insert("workflow", {{"wf_uuid", Value{"u-5"}}}), 5);
+  EXPECT_EQ(d.row_count("workflow"), direct.row_count("workflow"));
 }
 
 TEST(Session, QueuedUpdatePkAppliesInOrder) {
   db::Database d;
   orm::create_stampede_schema(d);
   orm::Session session{d, 100};
-  const auto wf = session.insert_now("workflow", {{"wf_uuid", Value{"u-x"}}});
+  const auto wf = session.add("workflow", {{"wf_uuid", Value{"u-x"}}});
   session.add_update_pk("workflow", wf, {{"dax_label", Value{"first"}}});
   session.add_update_pk("workflow", wf, {{"dax_label", Value{"second"}}});
   session.flush();
